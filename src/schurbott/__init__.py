@@ -16,13 +16,7 @@ from .rep_ring import (
     weyl_dim,
 )
 from .bwb import BWBOutcome, BundleExpr, GradedCohomology, bwb_single, cohomology
-from .bundle_calculus import (
-    NormalBundleModel,
-    middle_split,
-    planar_rank_identity,
-    wedge2_middle,
-    wedge_nprime,
-)
+from .bundle_calculus import planar_rank_identity, wedge2_middle, wedge_nprime
 from .soc import (
     FunctorLabel,
     VerificationReport,
@@ -59,10 +53,8 @@ __all__ = [
     "GradedCohomology",
     "bwb_single",
     "cohomology",
-    "NormalBundleModel",
     "wedge_nprime",
     "wedge2_middle",
-    "middle_split",
     "planar_rank_identity",
     "FunctorLabel",
     "VerificationReport",

@@ -14,12 +14,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .partitions import Weight
 from .rep_ring import RepElement, ext_power, sym_power, tensor
 
 
 class RouteDisagreementError(RuntimeError):
-    """Two independent computations of the same bundle disagree (a bug, never expected)."""
+    """Two independent computations of the same quantity disagree (a bug, never expected)."""
 
 
 FIBRE_RANK = 2
@@ -34,11 +33,6 @@ NPRIME = RepElement.schur(FIBRE_RANK, (2, -1))
 SES_SUB = Q_DUAL
 #: middle term Q (x) Sym^2 Q^v of the defining short exact sequence
 SES_MIDDLE = tensor(Q, sym_power(Q_DUAL, 2))
-
-
-def middle_split() -> tuple[RepElement, RepElement]:
-    """Decomposition of the middle term into N' = S(2,-1) and Q^v = S(1,0)."""
-    return (NPRIME, Q_DUAL)
 
 
 @lru_cache(maxsize=None)
@@ -94,22 +88,7 @@ def planar_rank_identity(d: int, l: int) -> int:
     if not 1 <= l <= d:
         raise ValueError(f"need 1 <= l <= d, got l={l}, d={d}")
     value = d + (l * l - l) // 2
-    assert value == (d - l) + comb(l + 1, 2)
+    if value != (d - l) + comb(l + 1, 2):
+        raise RouteDisagreementError(f"rank identity at d={d}, l={l}")
     return value
 
-
-class NormalBundleModel:
-    """The restricted normal bundle together with its defining sequence."""
-
-    def __init__(self, d: int):
-        if d < 3:
-            raise ValueError("the splitting requires ambient dimension d >= 3")
-        self.d = d
-        self.nprime = NPRIME
-        self.ses = (SES_SUB, SES_MIDDLE, NPRIME)
-
-    def wedge(self, q: int) -> RepElement:
-        return wedge_nprime(q)
-
-    def rank(self) -> int:
-        return self.nprime.dimension()

@@ -188,15 +188,25 @@ class GradedCohomology:
         }
 
 
+def graded_bwb(d: int, k: int, summands) -> tuple[GradedCohomology, list[BWBOutcome]]:
+    """Borel-Weil-Bott on each summand ((gamma, delta), coeff) of a bundle on G(k,d).
+
+    Returns the cohomology grouped by degree, and each summand's outcome in
+    input order.
+    """
+    groups: dict[int, RepElement] = {}
+    outcomes = []
+    for (g, q), c in summands:
+        outcome = bwb_single(d, k, g, q)
+        outcomes.append(outcome)
+        if not outcome.is_zero:
+            acc = groups.setdefault(outcome.degree, RepElement.zero(d))
+            groups[outcome.degree] = acc + RepElement.schur(d, outcome.weight).scaled(c)
+    return GradedCohomology(d, groups), outcomes
+
+
 def cohomology(expr: BundleExpr) -> GradedCohomology:
     """Termwise Borel-Weil-Bott, grouped by cohomological degree."""
     if not expr.is_effective():
         raise ValueError("cohomology of a virtual bundle expression is undefined")
-    groups: dict[int, RepElement] = {}
-    for (g, q), c in expr.terms.items():
-        outcome = bwb_single(expr.d, expr.k, g, q)
-        if outcome.is_zero:
-            continue
-        acc = groups.setdefault(outcome.degree, RepElement.zero(expr.d))
-        groups[outcome.degree] = acc + RepElement.schur(expr.d, outcome.weight).scaled(c)
-    return GradedCohomology(expr.d, groups)
+    return graded_bwb(expr.d, expr.k, expr.terms.items())[0]

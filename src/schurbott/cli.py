@@ -38,7 +38,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
     elements = [rr.RepElement.schur(rank, w.padded(rank)) for w in args.weights]
     if args.operation == "tensor":
         if len(elements) != 2:
-            raise SystemExit("schur tensor needs exactly two weights")
+            raise ValueError("schur tensor needs exactly two weights")
         result = rr.tensor(elements[0], elements[1])
     elif args.operation == "dual":
         result = rr.dual(elements[0])

@@ -34,7 +34,8 @@ def weyl_dim(w: Weight) -> int:
     for i in range(r):
         for j in range(i + 1, r):
             value *= Fraction(e[i] - e[j] + j - i, j - i)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"Weyl dimension of {w} is not an integer: {value}")
     return int(value)
 
 
@@ -290,9 +291,6 @@ class CharPoly:
     @classmethod
     def from_counter(cls, rank: int, counts: Mapping[tuple[int, ...], int]) -> "CharPoly":
         return cls(rank, tuple(sorted((e, c) for e, c in counts.items() if c != 0)))
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.coeffs)
 
     def __mul__(self, other: "CharPoly") -> "CharPoly":
         if self.rank != other.rank:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .bundle_calculus import wedge_nprime
-from .bwb import BWBOutcome, BundleExpr, GradedCohomology, bwb_single, cohomology
+from .bundle_calculus import RouteDisagreementError, wedge_nprime
+from .bwb import BWBOutcome, BundleExpr, GradedCohomology, graded_bwb
 from .partitions import Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
 
@@ -104,7 +104,7 @@ def ext_decomposition(alpha, beta) -> RepElement:
     """Schur expansion of S^alpha Q^v (x) (S^beta Q^v)^v on the rank-2 fibre.
 
     Closed form: sum over g = 0..min(width(alpha), width(beta)) of
-    S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).  Asserted against the
+    S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).  Checked against the
     Littlewood-Richardson route through the representation ring.
     """
     a = _as_label_weight(alpha)
@@ -117,42 +117,41 @@ def ext_decomposition(alpha, beta) -> RepElement:
         terms[w] = terms.get(w, 0) + 1
     closed = RepElement(2, terms)
     via_ring = tensor(RepElement.schur(2, a), dual(RepElement.schur(2, b)))
-    assert closed == via_ring, (closed, via_ring)
+    if closed != via_ring:
+        raise RouteDisagreementError(f"Ext({b},{a}): closed form {closed} vs LR {via_ring}")
     return closed
 
 
 def _trace_cohomology(
-    d: int, q: int, element: RepElement, conditions: list[ConditionRecord]
-) -> GradedCohomology:
-    """BWB on every summand of a Q^v-expression, recording one triple each."""
-    groups: dict[int, RepElement] = {}
-    for w, c in sorted(element.terms.items(), key=lambda t: tuple(-e for e in t[0].entries)):
-        outcome = bwb_single(d, 2, trivial(d - 2), w)
-        for _ in range(c):
-            conditions.append(ConditionRecord(q, w.entries, outcome))
-        if not outcome.is_zero:
-            acc = groups.setdefault(outcome.degree, RepElement.zero(d))
-            groups[outcome.degree] = acc + RepElement.schur(d, outcome.weight).scaled(c)
-    return GradedCohomology(d, groups)
+    d: int, ext: RepElement, top_q: int
+) -> tuple[list[GradedCohomology], list[ConditionRecord]]:
+    """Cohomology of wedge^q N' (x) ext on G(2,d) for q = 0..top_q, with its trace.
 
-
-def _mark_expected_hom(conditions: list[ConditionRecord]) -> None:
-    """The trivial q = 0 summand carries the identity; it must survive."""
-    for c in conditions:
-        if c.q == 0 and all(e == 0 for e in c.weight):
-            c.required_zero = False
+    The trace holds one record per unit of summand multiplicity, q by q and
+    in the Schur order within each q.  The trivial q = 0 summand carries the
+    identity morphism, so it is the one summand not required to vanish.
+    """
+    g0 = trivial(d - 2)
+    cohs: list[GradedCohomology] = []
+    conditions: list[ConditionRecord] = []
+    for q in range(top_q + 1):
+        terms = (ext if q == 0 else tensor(wedge_nprime(q), ext)).sorted_terms()
+        coh, outcomes = graded_bwb(d, 2, (((g0, w), c) for w, c in terms))
+        cohs.append(coh)
+        for (w, c), outcome in zip(terms, outcomes):
+            required_zero = q != 0 or not w.is_zero()
+            for _ in range(c):
+                conditions.append(ConditionRecord(q, w.entries, outcome, required_zero))
+    return cohs, conditions
 
 
 def check_exceptional(alpha, d: int) -> VerificationReport:
     """Self-Exts of S^alpha Q^v on G(2,d): pass iff End = k in degree 0 only."""
     a = FunctorLabel(_as_label_weight(alpha), d).alpha
-    conditions: list[ConditionRecord] = []
-    coh = _trace_cohomology(d, 0, ext_decomposition(a, a), conditions)
-    _mark_expected_hom(conditions)
-    hom_dim = coh.dimension(0)
-    verdict = coh.dimensions() == {0: 1}
+    (coh,), conditions = _trace_cohomology(d, ext_decomposition(a, a), 0)
+    ok = coh.dimensions() == {0: 1}
     return VerificationReport(
-        verdict, d, a, conditions=conditions, hom_dimension=hom_dim, kind="exceptional"
+        ok, d, a, conditions=conditions, hom_dimension=coh.dimension(0), kind="exceptional"
     )
 
 
@@ -167,18 +166,10 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
     a = FunctorLabel(_as_label_weight(alpha), d).alpha
-    ends = ext_decomposition(a, a)
-    conditions: list[ConditionRecord] = []
-    coh0 = _trace_cohomology(d, 0, ends, conditions)
-    _mark_expected_hom(conditions)
-    hom_dim = coh0.dimension(0)
-    ok = coh0.dimensions() == {0: 1}
-    for q in range(1, 5):
-        twisted = tensor(wedge_nprime(q), ends)
-        coh = _trace_cohomology(d, q, twisted, conditions)
-        ok = ok and coh.is_zero()
+    (coh0, *twisted), conditions = _trace_cohomology(d, ext_decomposition(a, a), 4)
+    ok = coh0.dimensions() == {0: 1} and all(coh.is_zero() for coh in twisted)
     return VerificationReport(
-        ok, d, a, conditions=conditions, hom_dimension=hom_dim, kind="fully_faithful"
+        ok, d, a, conditions=conditions, hom_dimension=coh0.dimension(0), kind="fully_faithful"
     )
 
 
@@ -195,52 +186,45 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = FunctorLabel(_as_label_weight(beta), d).alpha
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    ext = ext_decomposition(a, b)
-    conditions: list[ConditionRecord] = []
-    ok = True
-    for q in range(5):
-        twisted = ext if q == 0 else tensor(wedge_nprime(q), ext)
-        coh = _trace_cohomology(d, q, twisted, conditions)
-        ok = ok and coh.is_zero()
+    cohs, conditions = _trace_cohomology(d, ext_decomposition(a, b), 4)
+    ok = all(coh.is_zero() for coh in cohs)
     return VerificationReport(
         ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal"
     )
+
+
+def box_partitions(d: int) -> list[Weight]:
+    """All partitions inscribed in the 2 x (d-2) box, in the partition order."""
+    return sorted((Weight((a1, a2)) for a1 in range(d - 1) for a2 in range(a1 + 1)), key=sort_key)
 
 
 def enumerate_ff(d: int) -> list[FunctorLabel]:
     """All labels in the 2 x (d-2) box with width <= d-5, in the partition order."""
     if d < 5:
         raise ValueError("enumeration requires d >= 5")
-    labels = [
-        FunctorLabel(Weight((a1, a2)), d)
-        for a1 in range(d - 1)
-        for a2 in range(a1 + 1)
-        if a1 - a2 <= d - 5
-    ]
-    labels.sort(key=lambda lab: sort_key(lab.alpha))
+    box = (FunctorLabel(a, d) for a in box_partitions(d))
+    labels = [lab for lab in box if lab.width <= d - 5]
     expected = comb(d - 3, 2) + 3 * (d - 4)
-    assert len(labels) == expected, (len(labels), expected)
+    if len(labels) != expected:
+        raise RouteDisagreementError(f"d={d}: {len(labels)} labels, closed form {expected}")
     return labels
 
 
 def enumerate_sos(d: int) -> list[FunctorLabel]:
-    """The fully-faithful labels with alpha_2 >= 3: the semi-orthogonal sequence."""
+    """The fully-faithful labels with alpha_2 >= 3: the semi-orthogonal sequence.
+
+    Every ordered pair of them is a bounded pair (alpha_1 - beta_2 <= d-5),
+    since alpha_1 <= d-2 in the box and beta_2 >= 3.
+    """
     labels = [lab for lab in enumerate_ff(d) if lab.alpha.entries[1] >= 3]
-    assert len(labels) == comb(d - 3, 2), (len(labels), comb(d - 3, 2))
-    for i, first in enumerate(labels):
-        for second in labels[i + 1 :]:
-            # every ordered pair satisfies the vanishing bound by construction
-            assert first.alpha.entries[0] - second.alpha.entries[1] <= d - 5
+    if len(labels) != comb(d - 3, 2):
+        raise RouteDisagreementError(f"d={d}: {len(labels)} sequence labels, not {comb(d - 3, 2)}")
     return labels
 
 
 def kummer_count(d: int) -> int:
     """Length of the induced exceptional sequence on the third Kummer fibre."""
-    if d < 5:
-        raise ValueError("the count requires d >= 5")
-    count = comb(d - 3, 2) * 3 ** (2 * d)
-    assert count == len(enumerate_sos(d)) * 3 ** (2 * d)
-    return count
+    return len(enumerate_sos(d)) * 3 ** (2 * d)
 
 
 def check_cotangent_simple(k: int, d: int) -> VerificationReport:
@@ -256,23 +240,18 @@ def check_cotangent_simple(k: int, d: int) -> VerificationReport:
     delta = Weight((1,) + (0,) * (k - 1)) if k > 1 else Weight((1,))
     omega = BundleExpr(d, k, {(gamma, delta): 1})
     ends = omega.tensor(omega.dual())
-    conditions: list[ConditionRecord] = []
-    groups: dict[int, RepElement] = {}
+    terms = sorted(ends.terms.items(), key=lambda t: (t[0][0].entries, t[0][1].entries))
+    coh, outcomes = graded_bwb(d, k, terms)
     adjoint_pair = (1,) + (0,) * (d - k - 2) + (-1,) if d - k >= 2 else None
     adjoint_qpair = (1,) + (0,) * (k - 2) + (-1,) if k >= 2 else None
-    for (g, q), c in sorted(ends.terms.items(), key=lambda t: (t[0][0].entries, t[0][1].entries)):
-        outcome = bwb_single(d, k, g, q)
+    conditions: list[ConditionRecord] = []
+    for ((g, q), c), outcome in zip(terms, outcomes):
         concatenated = g.entries + q.entries
         expected_survivor = all(e == 0 for e in concatenated) or (
             g.entries == adjoint_pair and q.entries == adjoint_qpair
         )
-        conditions.append(
-            ConditionRecord(0, concatenated, outcome, required_zero=not expected_survivor)
-        )
-        if not outcome.is_zero:
-            acc = groups.setdefault(outcome.degree, RepElement.zero(d))
-            groups[outcome.degree] = acc + RepElement.schur(d, outcome.weight).scaled(c)
-    coh = GradedCohomology(d, groups)
+        for _ in range(c):
+            conditions.append(ConditionRecord(0, concatenated, outcome, not expected_survivor))
     hom_dim = coh.dimension(0)
     verdict = hom_dim == 1
     if 2 <= k <= d - 2:

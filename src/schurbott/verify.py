@@ -28,15 +28,6 @@ class CheckResult:
         return {"name": self.name, "verdict": "pass" if self.passed else "fail", "detail": self.detail}
 
 
-def _box_partitions(d: int) -> list[Weight]:
-    """All partitions inscribed in the 2 x (d-2) box, in the enumeration order."""
-    from .partitions import sort_key
-
-    out = [Weight((a1, a2)) for a1 in range(d - 1) for a2 in range(a1 + 1)]
-    out.sort(key=sort_key)
-    return out
-
-
 def check_counting(d_max: int = 12) -> CheckResult:
     for d in range(5, min(12, d_max) + 1):
         n_ff = len(soc.enumerate_ff(d))
@@ -71,7 +62,7 @@ def check_fully_faithful(d_max: int = 9) -> CheckResult:
 
 
 def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
-    labels = _box_partitions(d)
+    labels = soc.box_partitions(d)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             if a.entries[0] - b.entries[1] <= d - 5:
@@ -102,7 +93,7 @@ def check_semiorthogonal(d_max: int = 9) -> CheckResult:
 def check_exceptional_collection(d_max: int = 8) -> CheckResult:
     total = 0
     for d in range(3, min(8, d_max) + 1):
-        labels = _box_partitions(d)
+        labels = soc.box_partitions(d)
         for a in labels:
             if not soc.check_exceptional(a, d).verdict:
                 return CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
@@ -242,4 +233,6 @@ ALL_CHECKS: list[Callable[[int], CheckResult]] = [
 
 
 def run_all(d_max: int = 12) -> list[CheckResult]:
+    if d_max < 5:
+        raise ValueError(f"d_max must be at least 5, got {d_max}")
     return [check(d_max) for check in ALL_CHECKS]

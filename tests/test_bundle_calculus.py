@@ -8,8 +8,6 @@ from schurbott.bundle_calculus import (
     Q_DUAL,
     SES_MIDDLE,
     SES_SUB,
-    NormalBundleModel,
-    middle_split,
     planar_rank_identity,
     wedge2_middle,
     wedge_nprime,
@@ -33,8 +31,7 @@ class TestFibreConstants:
         assert dual(Q_DUAL) == Q
 
     def test_middle_splits(self):
-        n, sub = middle_split()
-        assert n + sub == SES_MIDDLE
+        assert NPRIME + SES_SUB == SES_MIDDLE
         assert SES_MIDDLE == S(2, -1) + S(1, 0)
 
     def test_nprime_is_twisted_cubic(self):
@@ -100,15 +97,3 @@ class TestRankIdentity:
         with pytest.raises(ValueError):
             planar_rank_identity(4, 0)
 
-
-class TestNormalBundleModel:
-    def test_model(self):
-        model = NormalBundleModel(6)
-        assert model.rank() == 4
-        assert model.wedge(2) == wedge_nprime(2)
-        sub, middle, quotient = model.ses
-        assert middle - sub == quotient
-
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            NormalBundleModel(2)

@@ -3,7 +3,14 @@ from math import comb
 
 import pytest
 
-from schurbott.bwb import BWBOutcome, BundleExpr, GradedCohomology, bwb_single, cohomology
+from schurbott.bwb import (
+    BWBOutcome,
+    BundleExpr,
+    GradedCohomology,
+    bwb_single,
+    cohomology,
+    graded_bwb,
+)
 from schurbott.partitions import Weight, trivial, weight
 from schurbott.rep_ring import RepElement, weyl_dim
 
@@ -145,3 +152,15 @@ class TestCohomology:
         assert g == GradedCohomology(5, {0: RepElement.one(5)})
         data = g.to_json()
         assert data["dims"] == {"0": 1}
+
+    def test_graded_bwb_matches_single_and_cohomology(self):
+        # zero and nonzero outcomes in several degrees, some with multiplicity
+        omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
+        ends = omega.tensor(omega.dual()).terms
+        lines = {(trivial(3), Weight(q)): c for q, c in [((4, -2), 3), ((1, 0), 2), ((5, 5), 1)]}
+        summands = list(ends.items()) + list(lines.items())
+        for order in (summands, summands[::-1]):
+            coh, outcomes = graded_bwb(5, 2, order)
+            assert outcomes == [bwb_single(5, 2, g, q) for (g, q), _ in order]
+            assert coh == cohomology(BundleExpr(5, 2, dict(order)))
+        assert {o.degree for o in outcomes} >= {None, 0, 1}

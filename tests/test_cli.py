@@ -38,6 +38,10 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "2,0")
         assert code == 0 and out.strip() == "S(0,-2)"
 
+    def test_tensor_needs_two_weights_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
+        assert code == 2 and "two weights" in err
+
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "schur", "dim", "--rank", "3", "2,1")
         assert code == 0 and "= 8" in out
@@ -158,6 +162,11 @@ class TestVerifyPaper:
         _, first, _ = run(capsys, "verify-paper", "--d-max", "5")
         _, second, _ = run(capsys, "verify-paper", "--d-max", "5")
         assert first == second
+
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-paper", "--d-max", "1")
+        assert code == 2 and "error:" in err
+        assert "PASS" not in out
 
     def test_json_list(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify-paper", "--d-max", "5")
