@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .partitions import Weight, trivial
-from .rep_ring import RepElement, dual as _rep_dual, tensor as _rep_tensor, weyl_dim
+from .rep_ring import RepElement, tensor as _rep_tensor, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ class BWBOutcome:
         return f"degree {self.degree}: S{self.weight} (dim {self.dimension()})"
 
 
-def _as_entries(w, expected_rank: int, what: str) -> tuple[int, ...]:
-    entries = tuple(w.entries) if isinstance(w, Weight) else tuple(int(e) for e in w)
-    if len(entries) != expected_rank:
-        raise ValueError(f"{what} must have {expected_rank} entries, got {entries}")
-    if any(a < b for a, b in zip(entries, entries[1:])):
-        raise ValueError(f"{what} must be non-increasing: {entries}")
-    return entries
-
-
 def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     """Cohomology of Sigma^gamma K tensor Sigma^delta Q-dual on G(k,d).
 
@@ -71,9 +62,11 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     """
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-    g = _as_entries(gamma, d - k, "K-weight")
-    q = _as_entries(delta, k, "Q-dual weight")
-    alpha = g + q
+    g = gamma if isinstance(gamma, Weight) else Weight(tuple(gamma))
+    q = delta if isinstance(delta, Weight) else Weight(tuple(delta))
+    if g.rank != d - k or q.rank != k:
+        raise ValueError(f"G({k},{d}) needs {d - k} K- and {k} Q-dual entries, got {g} and {q}")
+    alpha = g.entries + q.entries
     rho = tuple(range(d, 0, -1))
     dotted = [a + r for a, r in zip(alpha, rho)]
     if len(set(dotted)) < d:
@@ -101,13 +94,10 @@ class BundleExpr:
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.d - 1:
             raise ValueError(f"need 1 <= k <= d-1, got k={self.k}, d={self.d}")
-        clean: dict[tuple[Weight, Weight], int] = {}
-        for (g, q), c in self.terms.items():
+        for g, q in self.terms:
             if g.rank != self.d - self.k or q.rank != self.k:
                 raise ValueError(f"term ({g},{q}) does not match G({self.k},{self.d})")
-            if c != 0:
-                clean[(g, q)] = clean.get((g, q), 0) + c
-        self.terms = {key: c for key, c in clean.items() if c != 0}
+        self.terms = {key: c for key, c in self.terms.items() if c != 0}
 
     @classmethod
     def from_qdual(cls, d: int, k: int, element: RepElement) -> "BundleExpr":
@@ -138,12 +128,9 @@ class BundleExpr:
         return BundleExpr(self.d, self.k, out)
 
     def dual(self) -> "BundleExpr":
-        out: dict[tuple[Weight, Weight], int] = {}
-        for (g, q), c in self.terms.items():
-            gd = next(iter(_rep_dual(RepElement.schur(g.rank, g)).terms))
-            qd = next(iter(_rep_dual(RepElement.schur(q.rank, q)).terms))
-            out[(gd, qd)] = out.get((gd, qd), 0) + c
-        return BundleExpr(self.d, self.k, out)
+        return BundleExpr(
+            self.d, self.k, {(g.dual(), q.dual()): c for (g, q), c in self.terms.items()}
+        )
 
 
 class GradedCohomology:
@@ -194,15 +181,15 @@ def graded_bwb(d: int, k: int, summands) -> tuple[GradedCohomology, list[BWBOutc
     Returns the cohomology grouped by degree, and each summand's outcome in
     input order.
     """
-    groups: dict[int, RepElement] = {}
+    groups: dict[int, dict[Weight, int]] = {}
     outcomes = []
     for (g, q), c in summands:
         outcome = bwb_single(d, k, g, q)
         outcomes.append(outcome)
         if not outcome.is_zero:
-            acc = groups.setdefault(outcome.degree, RepElement.zero(d))
-            groups[outcome.degree] = acc + RepElement.schur(d, outcome.weight).scaled(c)
-    return GradedCohomology(d, groups), outcomes
+            group = groups.setdefault(outcome.degree, {})
+            group[outcome.weight] = group.get(outcome.weight, 0) + c
+    return GradedCohomology(d, {p: RepElement(d, ws) for p, ws in groups.items()}), outcomes
 
 
 def cohomology(expr: BundleExpr) -> GradedCohomology:

@@ -114,6 +114,9 @@ def cmd_kummer(args: argparse.Namespace) -> int:
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     results = verify.run_all(args.d_max)
+    for name, cap in verify.D_CAPS.items():
+        if cap < args.d_max:
+            print(f"note: {name} checked d <= {cap}, not {args.d_max}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in results]))
     else:

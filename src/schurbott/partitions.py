@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -13,13 +14,13 @@ class Weight:
     The weight is stored dense, including zero tails; the rank is the
     length of ``entries``.  Negative entries are allowed (rational
     representations of GL_r / K-theory classes), so there is no canonical
-    sparse form.
+    sparse form.  Non-integral entries (floats, strings) raise TypeError.
     """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(map(operator.index, self.entries))
         if len(entries) < 1:
             raise ValueError("a weight needs at least one entry")
         if any(a < b for a, b in zip(entries, entries[1:])):
@@ -49,9 +50,15 @@ class Weight:
         """Extend a partition with trailing zeros up to the given rank."""
         if rank < self.rank:
             raise ValueError("cannot pad to a smaller rank")
-        if rank > self.rank and self.entries[-1] < 0:
+        if rank == self.rank:
+            return self
+        if self.entries[-1] < 0:
             raise ValueError("cannot pad a weight with negative entries")
         return Weight(self.entries + (0,) * (rank - self.rank))
+
+    def dual(self) -> "Weight":
+        """Highest weight of the dual representation: entries negated and reversed."""
+        return Weight(tuple(-e for e in reversed(self.entries)))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
@@ -82,10 +89,10 @@ def weyl_vector(d: int) -> Weight:
 
 
 def _stripped(entries: Sequence[int]) -> tuple[int, ...]:
-    out = list(entries)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    n = len(entries)
+    while n and entries[n - 1] == 0:
+        n -= 1
+    return tuple(entries[:n])
 
 
 def transpose(p: Weight) -> Weight:

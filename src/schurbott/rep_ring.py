@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .partitions import Weight, trivial
+from .partitions import Weight, _stripped, trivial
 
 
 class DecompositionError(ValueError):
@@ -55,10 +55,7 @@ def _horizontal_strips(shape: tuple[int, ...], m: int, max_rows: int) -> Iterato
     def rec(j: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if j == n:
             if remaining == 0:
-                out = list(acc)
-                while out and out[-1] == 0:
-                    out.pop()
-                yield tuple(out)
+                yield _stripped(acc)
             return
         # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
         upper = remaining if j == 0 else base[j - 1] - base[j]
@@ -135,21 +132,25 @@ class RepElement:
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        clean: dict[Weight, int] = {}
+        self.terms = {}
         for w, c in (terms or {}).items():
             if w.rank != rank:
                 raise ValueError(f"weight {w} has rank {w.rank}, element has rank {rank}")
             if c != 0:
-                clean[w] = clean.get(w, 0) + c
-        self.terms = {w: c for w, c in clean.items() if c != 0}
+                self.terms[w] = c
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def schur(cls, rank: int, entries) -> "RepElement":
+        """S^w over GL_rank: zero rows past rank are dropped, more nonzero rows give 0."""
         w = entries if isinstance(entries, Weight) else Weight(tuple(entries))
         if w.rank > rank:
-            return cls(rank)
+            if not w.is_partition():
+                raise ValueError(f"weight {w} has a negative entry and more than {rank} entries")
+            if w.entries[rank]:
+                return cls(rank)
+            w = Weight(w.entries[:rank])
         return cls(rank, {w.padded(rank): 1})
 
     @classmethod
@@ -234,37 +235,27 @@ def tensor(a: RepElement, b: RepElement) -> RepElement:
     """
     a._check(b)
     rank = a.rank
+    b_shapes = [(_partition_shift(wb), cb) for wb, cb in b.terms.items()]
     out: dict[Weight, int] = {}
     for wa, ca in a.terms.items():
-        ma = -min(0, wa.entries[-1])
-        pa = tuple(e + ma for e in wa.entries)
-        pa = pa[: len(pa) - _trailing_zeros(pa)]
-        for wb, cb in b.terms.items():
-            mb = -min(0, wb.entries[-1])
-            pb = tuple(e + mb for e in wb.entries)
-            pb = pb[: len(pb) - _trailing_zeros(pb)]
+        pa, ma = _partition_shift(wa)
+        for (pb, mb), cb in b_shapes:
             shift = ma + mb
             for nu, mult in lr_coefficients(pa, pb, rank):
-                w = Weight(tuple(nu) + (0,) * (rank - len(nu))).shifted(-shift)
+                w = Weight(tuple(e - shift for e in nu) + (-shift,) * (rank - len(nu)))
                 out[w] = out.get(w, 0) + ca * cb * mult
     return RepElement(rank, out)
 
 
-def _trailing_zeros(entries: tuple[int, ...]) -> int:
-    n = 0
-    for e in reversed(entries):
-        if e != 0:
-            break
-        n += 1
-    return n
+def _partition_shift(w: Weight) -> tuple[tuple[int, ...], int]:
+    """(p, m): the least m >= 0 making w + m a partition p, trailing zeros dropped."""
+    m = -min(0, w.entries[-1])
+    return _stripped([e + m for e in w.entries]), m
 
 
 def dual(a: RepElement) -> RepElement:
     """Linear extension of Sigma^alpha -> Sigma^{-alpha}, reversing the entries."""
-    return RepElement(
-        a.rank,
-        {Weight(tuple(-e for e in reversed(w.entries))): c for w, c in a.terms.items()},
-    )
+    return RepElement(a.rank, {w.dual(): c for w, c in a.terms.items()})
 
 
 def det_twist(a: RepElement, m: int) -> RepElement:
@@ -300,17 +291,6 @@ class CharPoly:
             for eb, cb in other.coeffs:
                 out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
         return CharPoly.from_counter(self.rank, out)
-
-    def __add__(self, other: "CharPoly") -> "CharPoly":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = Counter(dict(self.coeffs))
-        for e, c in other.coeffs:
-            out[e] += c
-        return CharPoly.from_counter(self.rank, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def evaluate_at_ones(self) -> int:
         return sum(c for _, c in self.coeffs)
@@ -371,9 +351,8 @@ def schur_char(w: Weight, rank: int | None = None) -> CharPoly:
     rank = rank or w.rank
     if w.rank != rank:
         raise ValueError("rank mismatch")
-    m = -min(0, w.entries[-1])
-    shape = tuple(e + m for e in w.entries)
-    mons = _schur_monomials(tuple(e for e in shape if e > 0), rank)
+    shape, m = _partition_shift(w)
+    mons = _schur_monomials(shape, rank)
     shifted = {tuple(x - m for x in e): c for e, c in mons}
     return CharPoly.from_counter(rank, shifted)
 
@@ -420,43 +399,24 @@ def decompose(c: CharPoly, require_effective: bool = False) -> RepElement:
 # Plethysm via the oracle
 # ---------------------------------------------------------------------------
 
-def _eigenvalues(a: RepElement) -> list[tuple[int, ...]]:
+def _power(a: RepElement, m: int, choose) -> RepElement:
+    """Sum of the weight monomials over every ``choose(monomials, m)``: e_m or h_m."""
+    if m < 0:
+        raise ValueError(f"negative power {m}")
+    if m == 0:
+        return RepElement.one(a.rank)
     if not a.is_effective():
         raise ValueError("plethysm of a non-effective element is undefined")
-    return char_of(a).monomials()
+    combos = choose(char_of(a).monomials(), m)
+    counts = Counter(tuple(map(sum, zip(*combo))) for combo in combos)
+    return decompose(CharPoly.from_counter(a.rank, counts), require_effective=True)
+
 
 def ext_power(a: RepElement, m: int) -> RepElement:
     """Exterior power: elementary symmetric function of the weight monomials."""
-    if m < 0:
-        raise ValueError("negative exterior power")
-    if m == 0:
-        return RepElement.one(a.rank)
-    mons = _eigenvalues(a)
-    if m > len(mons):
-        return RepElement.zero(a.rank)
-    counts: Counter[tuple[int, ...]] = Counter()
-    for combo in itertools.combinations(mons, m):
-        counts[tuple(map(sum, zip(*combo)))] += 1
-    return decompose(CharPoly.from_counter(a.rank, counts), require_effective=True)
+    return _power(a, m, itertools.combinations)
 
 
 def sym_power(a: RepElement, m: int) -> RepElement:
     """Symmetric power: complete homogeneous symmetric function of the monomials."""
-    if m < 0:
-        raise ValueError("negative symmetric power")
-    if m == 0:
-        return RepElement.one(a.rank)
-    distinct = sorted(Counter(_eigenvalues(a)).items())
-    counts: Counter[tuple[int, ...]] = Counter()
-    for combo in _multisets(distinct, m):
-        counts[combo] += 1
-    return decompose(CharPoly.from_counter(a.rank, counts), require_effective=True)
-
-
-def _multisets(distinct: list[tuple[tuple[int, ...], int]], m: int) -> Iterator[tuple[int, ...]]:
-    """Exponent sums over degree-m multisets of eigenvalues (with multiplicity)."""
-    flat: list[tuple[int, ...]] = []
-    for e, c in distinct:
-        flat.extend([e] * c)
-    for combo in itertools.combinations_with_replacement(flat, m):
-        yield tuple(map(sum, zip(*combo)))
+    return _power(a, m, itertools.combinations_with_replacement)

@@ -236,8 +236,8 @@ def check_cotangent_simple(k: int, d: int) -> VerificationReport:
     """
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-    gamma = Weight((1,) + (0,) * (d - k - 1)) if d - k > 1 else Weight((1,))
-    delta = Weight((1,) + (0,) * (k - 1)) if k > 1 else Weight((1,))
+    gamma = Weight((1,) + (0,) * (d - k - 1))
+    delta = Weight((1,) + (0,) * (k - 1))
     omega = BundleExpr(d, k, {(gamma, delta): 1})
     ends = omega.tensor(omega.dual())
     terms = sorted(ends.terms.items(), key=lambda t: (t[0][0].entries, t[0][1].entries))

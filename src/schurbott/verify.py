@@ -8,6 +8,7 @@ check is a strict equality with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator
 
@@ -28,29 +29,39 @@ class CheckResult:
         return {"name": self.name, "verdict": "pass" if self.passed else "fail", "detail": self.detail}
 
 
+#: The largest d each capped check runs, by check name, whatever d_max asks for.
+D_CAPS = {
+    "counting": 12, "kummer-count": 12, "fully-faithful": 9, "semi-orthogonality": 9,
+    "exceptional-collection": 8, "cotangent-simplicity": 8, "rank-identity": 12,
+}
+
+
 def check_counting(d_max: int = 12) -> CheckResult:
-    for d in range(5, min(12, d_max) + 1):
+    top = min(D_CAPS["counting"], d_max)
+    for d in range(5, top + 1):
         n_ff = len(soc.enumerate_ff(d))
         n_sos = len(soc.enumerate_sos(d))
         if n_ff != comb(d - 3, 2) + 3 * (d - 4) or n_ff != (d * d - d - 12) // 2:
             return CheckResult("counting", False, f"d={d}: ff count {n_ff}")
         if n_sos != comb(d - 3, 2):
             return CheckResult("counting", False, f"d={d}: sos count {n_sos}")
-    return CheckResult("counting", True, f"label counts match for d = 5..{min(12, d_max)}")
+    return CheckResult("counting", True, f"label counts match for d = 5..{top}")
 
 
 def check_kummer(d_max: int = 12) -> CheckResult:
     if soc.kummer_count(5) != 59049:
         return CheckResult("kummer-count", False, "d=5 count != 3^10")
-    for d in range(5, min(12, d_max) + 1):
+    top = min(D_CAPS["kummer-count"], d_max)
+    for d in range(5, top + 1):
         if soc.kummer_count(d) != comb(d - 3, 2) * 3 ** (2 * d):
             return CheckResult("kummer-count", False, f"d={d} mismatch")
-    return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{min(12, d_max)}")
+    return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
 def check_fully_faithful(d_max: int = 9) -> CheckResult:
     total = 0
-    for d in range(5, min(9, d_max) + 1):
+    top = min(D_CAPS["fully-faithful"], d_max)
+    for d in range(5, top + 1):
         for label in soc.enumerate_ff(d):
             report = soc.check_fully_faithful(label.alpha, d)
             total += 1
@@ -58,7 +69,7 @@ def check_fully_faithful(d_max: int = 9) -> CheckResult:
                 return CheckResult(
                     "fully-faithful", False, f"d={d}, alpha={label.alpha} failed"
                 )
-    return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{min(9, d_max)}")
+    return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
 
 
 def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
@@ -71,7 +82,8 @@ def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
 
 def check_semiorthogonal(d_max: int = 9) -> CheckResult:
     total = 0
-    for d in range(5, min(9, d_max) + 1):
+    top = min(D_CAPS["semi-orthogonality"], d_max)
+    for d in range(5, top + 1):
         sos = {lab.alpha for lab in soc.enumerate_sos(d)}
         seen_sos_pairs = 0
         for a, b in _bounded_pairs(d):
@@ -87,12 +99,13 @@ def check_semiorthogonal(d_max: int = 9) -> CheckResult:
             return CheckResult(
                 "semi-orthogonality", False, f"d={d}: sequence pairs not all covered"
             )
-    return CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{min(9, d_max)}")
+    return CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{top}")
 
 
 def check_exceptional_collection(d_max: int = 8) -> CheckResult:
     total = 0
-    for d in range(3, min(8, d_max) + 1):
+    top = min(D_CAPS["exceptional-collection"], d_max)
+    for d in range(3, top + 1):
         labels = soc.box_partitions(d)
         for a in labels:
             if not soc.check_exceptional(a, d).verdict:
@@ -109,7 +122,7 @@ def check_exceptional_collection(d_max: int = 8) -> CheckResult:
                         )
                 total += 1
     return CheckResult(
-        "exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{min(8, d_max)}"
+        "exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{top}"
     )
 
 
@@ -132,7 +145,8 @@ def check_normal_bundle(d_max: int = 12) -> CheckResult:
 
 def check_cotangent(d_max: int = 8) -> CheckResult:
     total = 0
-    for d in range(4, min(8, d_max) + 1):
+    top = min(D_CAPS["cotangent-simplicity"], d_max)
+    for d in range(4, top + 1):
         for k in range(2, d - 1):
             report = soc.check_cotangent_simple(k, d)
             total += 1
@@ -141,7 +155,7 @@ def check_cotangent(d_max: int = 8) -> CheckResult:
             degree1 = [c for c in report.conditions if not c.outcome.is_zero and c.outcome.degree == 1]
             if sum(c.outcome.dimension() for c in degree1) != d * d - 1:
                 return CheckResult("cotangent-simplicity", False, f"G({k},{d}): bad Ext^1 dim")
-    return CheckResult("cotangent-simplicity", True, f"{total} Grassmannians, d <= {min(8, d_max)}")
+    return CheckResult("cotangent-simplicity", True, f"{total} Grassmannians, d <= {top}")
 
 
 def _partitions_up_to(n_max: int, rows: int) -> list[tuple[int, ...]]:
@@ -210,12 +224,14 @@ def check_pieri(d_max: int = 12) -> CheckResult:
 
 
 def check_rank_identity(d_max: int = 12) -> CheckResult:
-    for d in range(1, min(12, d_max) + 1):
+    """The closed form against a count: d - l linear forms plus the quadratic monomials in l."""
+    top = min(D_CAPS["rank-identity"], d_max)
+    for d in range(1, top + 1):
         for l in range(1, d + 1):
-            value = bc.planar_rank_identity(d, l)
-            if value != (d - l) + comb(l + 1, 2):
+            quadratic = len(list(combinations_with_replacement(range(l), 2)))
+            if bc.planar_rank_identity(d, l) != (d - l) + quadratic:
                 return CheckResult("rank-identity", False, f"(d={d}, l={l})")
-    return CheckResult("rank-identity", True, f"all 1 <= l <= d <= {min(12, d_max)}")
+    return CheckResult("rank-identity", True, f"all 1 <= l <= d <= {top}")
 
 
 ALL_CHECKS: list[Callable[[int], CheckResult]] = [

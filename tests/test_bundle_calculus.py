@@ -2,6 +2,8 @@ from math import comb
 
 import pytest
 
+from schurbott import bundle_calculus as bc
+from schurbott import verify
 from schurbott.bundle_calculus import (
     NPRIME,
     Q,
@@ -90,6 +92,12 @@ class TestRankIdentity:
         for d in range(1, 13):
             for l in range(1, d + 1):
                 assert planar_rank_identity(d, l) == d + (l * l - l) // 2
+
+    def test_verify_check_catches_wrong_closed_form(self, monkeypatch):
+        assert verify.check_rank_identity().passed
+        monkeypatch.setattr(bc, "planar_rank_identity", lambda d, l: d + l * l // 2)
+        result = verify.check_rank_identity()
+        assert not result.passed and result.detail == "(d=2, l=2)"
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from schurbott.bwb import (
     graded_bwb,
 )
 from schurbott.partitions import Weight, trivial, weight
-from schurbott.rep_ring import RepElement, weyl_dim
+from schurbott.rep_ring import RepElement, dual, weyl_dim
 
 
 class TestSingleBundle:
@@ -117,6 +117,16 @@ class TestBundleExpr:
     def test_dual_involution(self):
         omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
         assert omega.dual().dual() == omega
+        # factor by factor, the dual of the representation ring
+        mixed = BundleExpr(
+            5, 2, {(weight(2, 0, -1), weight(3, -2)): 2, (trivial(3), weight(1, 1)): 1}
+        )
+        expected = {}
+        for (g, q), c in mixed.terms.items():
+            (gd,) = dual(RepElement.schur(3, g)).terms
+            (qd,) = dual(RepElement.schur(2, q)).terms
+            expected[(gd, qd)] = c
+        assert mixed.dual().terms == expected
 
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):

@@ -152,8 +152,8 @@ class TestKummer:
 
 class TestVerifyPaper:
     def test_all_pass(self, capsys):
-        code, out, _ = run(capsys, "verify-paper", "--d-max", "5")
-        assert code == 0
+        code, out, err = run(capsys, "verify-paper", "--d-max", "5")
+        assert code == 0 and err == ""
         lines = [l for l in out.strip().splitlines() if l]
         assert len(lines) == 10
         assert all("PASS" in l for l in lines)
@@ -162,6 +162,16 @@ class TestVerifyPaper:
         _, first, _ = run(capsys, "verify-paper", "--d-max", "5")
         _, second, _ = run(capsys, "verify-paper", "--d-max", "5")
         assert first == second
+
+    def test_capped_checks_are_named(self, capsys):
+        code, _, err = run(capsys, "verify-paper", "--d-max", "12")
+        assert code == 0
+        assert err.splitlines() == [
+            "note: fully-faithful checked d <= 9, not 12",
+            "note: semi-orthogonality checked d <= 9, not 12",
+            "note: exceptional-collection checked d <= 8, not 12",
+            "note: cotangent-simplicity checked d <= 8, not 12",
+        ]
 
     def test_empty_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify-paper", "--d-max", "1")

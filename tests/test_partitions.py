@@ -36,6 +36,12 @@ class TestWeight:
         with pytest.raises(ValueError):
             Weight(())
 
+    def test_rejects_non_integral_entries(self):
+        with pytest.raises(TypeError):
+            Weight((1.5, 0))
+        with pytest.raises(TypeError):
+            Weight(("3", "1"))
+
     def test_negative_entries_allowed(self):
         w = weight(3, -1)
         assert w.rank == 2 and w.size == 2 and not w.is_partition()

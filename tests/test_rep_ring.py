@@ -109,6 +109,13 @@ class TestLR:
         # (1,1) x (1,1) over GL_2 keeps only the flat shape
         assert tensor(S(2, 1, 1), S(2, 1, 1)) == S(2, 2, 2)
 
+    def test_schur_beyond_rank(self):
+        # zero rows past the rank are dropped; a third nonzero row vanishes
+        assert S(2, 1, 0, 0) == S(2, 1, 0)
+        assert S(2, 1, 1, 1).is_zero()
+        with pytest.raises(ValueError):
+            S(2, 1, 0, -1)
+
     def test_negative_entries_via_det_shift(self):
         got = tensor(S(2, 1, 0), S(2, 0, -1))
         assert got == S(2, 1, -1) + S(2, 0, 0)
@@ -149,10 +156,12 @@ class TestRingLaws:
 class TestDual:
     def test_reverses_and_negates(self):
         assert dual(S(3, 4, 2, 1)) == S(3, -1, -2, -4)
+        assert weight(4, 2, 1).dual() == weight(-1, -2, -4)
 
     def test_involution(self):
         x = S(3, 4, 2, 1) + S(3, 1, 0, -2).scaled(2)
         assert dual(dual(x)) == x
+        assert all(w.dual().dual() == w for w in x.terms)
 
     @given(small_partition, small_partition)
     @settings(max_examples=30, deadline=None)
@@ -173,6 +182,18 @@ class TestCharacterOracle:
             x = RepElement.schur(3, a + (0,) * (3 - len(a)))
             y = RepElement.schur(3, b + (0,) * (3 - len(b)))
             assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
+
+    def test_oracle_agrees_with_lr_on_negative_weights(self):
+        # entries in [-2, 2]: the weights with a negative entry take the determinant shift
+        for rank in (2, 3):
+            weights = [
+                w
+                for w in itertools.product(range(2, -3, -1), repeat=rank)
+                if list(w) == sorted(w, reverse=True)
+            ]
+            for a, b in itertools.product(weights, repeat=2):
+                x, y = S(rank, *a), S(rank, *b)
+                assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
 
     def test_decompose_inverts_char(self):
         x = S(3, 3, 1, 0) + S(3, 2, 2, 2).scaled(2)
