@@ -18,7 +18,6 @@ from .rep_ring import (
 from .bwb import BWBOutcome, BundleExpr, GradedCohomology, bwb_single, cohomology
 from .bundle_calculus import planar_rank_identity, wedge2_middle, wedge_nprime
 from .soc import (
-    FunctorLabel,
     VerificationReport,
     check_cotangent_simple,
     check_exceptional,
@@ -56,7 +55,6 @@ __all__ = [
     "wedge_nprime",
     "wedge2_middle",
     "planar_rank_identity",
-    "FunctorLabel",
     "VerificationReport",
     "ext_decomposition",
     "check_exceptional",

@@ -36,16 +36,6 @@ SES_MIDDLE = tensor(Q, sym_power(Q_DUAL, 2))
 
 
 @lru_cache(maxsize=None)
-def _wedge_middle(q: int) -> RepElement:
-    return ext_power(SES_MIDDLE, q)
-
-
-@lru_cache(maxsize=None)
-def _wedge_sub(q: int) -> RepElement:
-    return ext_power(SES_SUB, q)
-
-
-@lru_cache(maxsize=None)
 def wedge_nprime(q: int) -> RepElement:
     """Exterior power of the restricted normal bundle, computed two ways.
 
@@ -57,9 +47,9 @@ def wedge_nprime(q: int) -> RepElement:
     if not 0 <= q <= 4:
         raise ValueError(f"N' has rank 4; wedge power {q} out of range")
     direct = ext_power(NPRIME, q)
-    from_ses = _wedge_middle(q)
+    from_ses = ext_power(SES_MIDDLE, q)
     for i in range(1, min(q, 2) + 1):
-        from_ses = from_ses - tensor(_wedge_sub(i), wedge_nprime(q - i))
+        from_ses = from_ses - tensor(ext_power(SES_SUB, i), wedge_nprime(q - i))
     if direct != from_ses or not direct.is_effective():
         raise RouteDisagreementError(
             f"wedge^{q} N': direct route {direct} vs filtration route {from_ses}"

@@ -69,10 +69,11 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     alpha = g.entries + q.entries
     rho = tuple(range(d, 0, -1))
     dotted = [a + r for a, r in zip(alpha, rho)]
-    if len(set(dotted)) < d:
-        seen: set[int] = set()
-        repeat = next(v for v in dotted if v in seen or seen.add(v))
-        return BWBOutcome(repeated_value=repeat)
+    seen: set[int] = set()
+    for v in dotted:
+        if v in seen:
+            return BWBOutcome(repeated_value=v)
+        seen.add(v)
     inversions = sum(
         1
         for i in range(d)

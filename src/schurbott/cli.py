@@ -35,7 +35,7 @@ def _weight_arg(text: str) -> Weight:
 
 def cmd_schur(args: argparse.Namespace) -> int:
     rank = args.rank
-    elements = [rr.RepElement.schur(rank, w.padded(rank)) for w in args.weights]
+    elements = [rr.RepElement.schur(rank, w) for w in args.weights]
     if args.operation == "tensor":
         if len(elements) != 2:
             raise ValueError("schur tensor needs exactly two weights")
@@ -47,7 +47,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
     elif args.operation == "ext":
         result = rr.ext_power(elements[0], args.power)
     else:  # dim
-        dims = {str(w): rr.weyl_dim(w.padded(rank)) for w in args.weights}
+        dims = {str(w): e.dimension() for w, e in zip(args.weights, elements)}
         _emit(args, "\n".join(f"dim S{w} = {v}" for w, v in dims.items()), {"dims": dims})
         return 0
     _emit(args, str(result), result.to_json())
@@ -97,12 +97,8 @@ def cmd_check_so(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     labels = soc.enumerate_sos(args.d) if args.sos else soc.enumerate_ff(args.d)
-    text = "\n".join(str(lab.alpha) for lab in labels) + f"\n{len(labels)} labels"
-    _emit(
-        args,
-        text,
-        {"d": args.d, "sos": args.sos, "labels": [list(l.alpha.entries) for l in labels]},
-    )
+    text = "\n".join(str(a) for a in labels) + f"\n{len(labels)} labels"
+    _emit(args, text, {"d": args.d, "sos": args.sos, "labels": [list(a.entries) for a in labels]})
     return 0
 
 

@@ -11,41 +11,11 @@ summand that had to vanish (or survive).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .bundle_calculus import RouteDisagreementError, wedge_nprime
 from .bwb import BWBOutcome, BundleExpr, GradedCohomology, graded_bwb
 from .partitions import Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
-
-
-@dataclass(frozen=True)
-class FunctorLabel:
-    """A kernel partition alpha inscribed in the 2 x (d-2) box."""
-
-    alpha: Weight
-    d: int
-
-    def __post_init__(self) -> None:
-        a1, a2 = self._pair()
-        if not (0 <= a2 <= a1 <= self.d - 2):
-            raise ValueError(
-                f"label {self.alpha} not inscribed in the 2x{self.d - 2} box"
-            )
-
-    def _pair(self) -> tuple[int, int]:
-        if self.alpha.rank != 2:
-            raise ValueError("labels are rank-2 weights")
-        return self.alpha.entries  # type: ignore[return-value]
-
-    @property
-    def width(self) -> int:
-        """The row difference alpha_1 - alpha_2 controlling the vanishing bound."""
-        a1, a2 = self._pair()
-        return a1 - a2
-
-    def __str__(self) -> str:
-        return str(self.alpha)
 
 
 @dataclass
@@ -100,6 +70,14 @@ def _as_label_weight(alpha) -> Weight:
     return w
 
 
+def _box_label(alpha, d: int) -> Weight:
+    """A kernel label: a rank-2 partition inscribed in the 2 x (d-2) box."""
+    w = _as_label_weight(alpha)
+    if w.entries[0] > d - 2:
+        raise ValueError(f"label {w} not inscribed in the 2x{d - 2} box")
+    return w
+
+
 def ext_decomposition(alpha, beta) -> RepElement:
     """Schur expansion of S^alpha Q^v (x) (S^beta Q^v)^v on the rank-2 fibre.
 
@@ -147,7 +125,7 @@ def _trace_cohomology(
 
 def check_exceptional(alpha, d: int) -> VerificationReport:
     """Self-Exts of S^alpha Q^v on G(2,d): pass iff End = k in degree 0 only."""
-    a = FunctorLabel(_as_label_weight(alpha), d).alpha
+    a = _box_label(alpha, d)
     (coh,), conditions = _trace_cohomology(d, ext_decomposition(a, a), 0)
     ok = coh.dimensions() == {0: 1}
     return VerificationReport(
@@ -165,7 +143,7 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     """
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
-    a = FunctorLabel(_as_label_weight(alpha), d).alpha
+    a = _box_label(alpha, d)
     (coh0, *twisted), conditions = _trace_cohomology(d, ext_decomposition(a, a), 4)
     ok = coh0.dimensions() == {0: 1} and all(coh.is_zero() for coh in twisted)
     return VerificationReport(
@@ -182,8 +160,8 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     """
     if d < 5:
         raise ValueError("semi-orthogonality check requires d >= 5")
-    a = FunctorLabel(_as_label_weight(alpha), d).alpha
-    b = FunctorLabel(_as_label_weight(beta), d).alpha
+    a = _box_label(alpha, d)
+    b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
     cohs, conditions = _trace_cohomology(d, ext_decomposition(a, b), 4)
@@ -198,28 +176,20 @@ def box_partitions(d: int) -> list[Weight]:
     return sorted((Weight((a1, a2)) for a1 in range(d - 1) for a2 in range(a1 + 1)), key=sort_key)
 
 
-def enumerate_ff(d: int) -> list[FunctorLabel]:
-    """All labels in the 2 x (d-2) box with width <= d-5, in the partition order."""
+def enumerate_ff(d: int) -> list[Weight]:
+    """All labels in the 2 x (d-2) box with alpha_1 - alpha_2 <= d-5, in the partition order."""
     if d < 5:
         raise ValueError("enumeration requires d >= 5")
-    box = (FunctorLabel(a, d) for a in box_partitions(d))
-    labels = [lab for lab in box if lab.width <= d - 5]
-    expected = comb(d - 3, 2) + 3 * (d - 4)
-    if len(labels) != expected:
-        raise RouteDisagreementError(f"d={d}: {len(labels)} labels, closed form {expected}")
-    return labels
+    return [a for a in box_partitions(d) if a.entries[0] - a.entries[1] <= d - 5]
 
 
-def enumerate_sos(d: int) -> list[FunctorLabel]:
+def enumerate_sos(d: int) -> list[Weight]:
     """The fully-faithful labels with alpha_2 >= 3: the semi-orthogonal sequence.
 
     Every ordered pair of them is a bounded pair (alpha_1 - beta_2 <= d-5),
     since alpha_1 <= d-2 in the box and beta_2 >= 3.
     """
-    labels = [lab for lab in enumerate_ff(d) if lab.alpha.entries[1] >= 3]
-    if len(labels) != comb(d - 3, 2):
-        raise RouteDisagreementError(f"d={d}: {len(labels)} sequence labels, not {comb(d - 3, 2)}")
-    return labels
+    return [a for a in enumerate_ff(d) if a.entries[1] >= 3]
 
 
 def kummer_count(d: int) -> int:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc
-from .bwb import bwb_single
+from .bwb import BundleExpr, bwb_single, cohomology
 from .partitions import Weight
 
 
@@ -36,7 +36,7 @@ D_CAPS = {
 }
 
 
-def check_counting(d_max: int = 12) -> CheckResult:
+def check_counting(d_max: int) -> CheckResult:
     top = min(D_CAPS["counting"], d_max)
     for d in range(5, top + 1):
         n_ff = len(soc.enumerate_ff(d))
@@ -48,7 +48,7 @@ def check_counting(d_max: int = 12) -> CheckResult:
     return CheckResult("counting", True, f"label counts match for d = 5..{top}")
 
 
-def check_kummer(d_max: int = 12) -> CheckResult:
+def check_kummer(d_max: int) -> CheckResult:
     if soc.kummer_count(5) != 59049:
         return CheckResult("kummer-count", False, "d=5 count != 3^10")
     top = min(D_CAPS["kummer-count"], d_max)
@@ -58,17 +58,15 @@ def check_kummer(d_max: int = 12) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
-def check_fully_faithful(d_max: int = 9) -> CheckResult:
+def check_fully_faithful(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["fully-faithful"], d_max)
     for d in range(5, top + 1):
-        for label in soc.enumerate_ff(d):
-            report = soc.check_fully_faithful(label.alpha, d)
+        for a in soc.enumerate_ff(d):
+            report = soc.check_fully_faithful(a, d)
             total += 1
             if not report.verdict:
-                return CheckResult(
-                    "fully-faithful", False, f"d={d}, alpha={label.alpha} failed"
-                )
+                return CheckResult("fully-faithful", False, f"d={d}, alpha={a} failed")
     return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
 
 
@@ -80,11 +78,11 @@ def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
                 yield a, b
 
 
-def check_semiorthogonal(d_max: int = 9) -> CheckResult:
+def check_semiorthogonal(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
     for d in range(5, top + 1):
-        sos = {lab.alpha for lab in soc.enumerate_sos(d)}
+        sos = set(soc.enumerate_sos(d))
         seen_sos_pairs = 0
         for a, b in _bounded_pairs(d):
             report = soc.check_semiorthogonal(a, b, d)
@@ -102,7 +100,7 @@ def check_semiorthogonal(d_max: int = 9) -> CheckResult:
     return CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{top}")
 
 
-def check_exceptional_collection(d_max: int = 8) -> CheckResult:
+def check_exceptional_collection(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["exceptional-collection"], d_max)
     for d in range(3, top + 1):
@@ -112,21 +110,18 @@ def check_exceptional_collection(d_max: int = 8) -> CheckResult:
                 return CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                for w in soc.ext_decomposition(a, b).terms:
-                    outcome = bwb_single(d, 2, (0,) * (d - 2), w)
-                    if not outcome.is_zero:
-                        return CheckResult(
-                            "exceptional-collection",
-                            False,
-                            f"d={d}: backward Ext {a} before {b} survives at {w}",
-                        )
+                coh = cohomology(BundleExpr.from_qdual(d, 2, soc.ext_decomposition(a, b)))
+                if not coh.is_zero():
+                    return CheckResult(
+                        "exceptional-collection", False, f"d={d}: backward Ext {a} before {b}: {coh}"
+                    )
                 total += 1
     return CheckResult(
         "exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{top}"
     )
 
 
-def check_normal_bundle(d_max: int = 12) -> CheckResult:
+def check_normal_bundle(d_max: int) -> CheckResult:
     del d_max  # fibre expressions are dimension-independent
     ok = (
         bc.wedge_nprime(3) == rr.RepElement.schur(2, (3, 0))
@@ -143,7 +138,7 @@ def check_normal_bundle(d_max: int = 12) -> CheckResult:
     return CheckResult("normal-bundle-wedges", ok, "wedge powers and filtration agree" if ok else "mismatch")
 
 
-def check_cotangent(d_max: int = 8) -> CheckResult:
+def check_cotangent(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["cotangent-simplicity"], d_max)
     for d in range(4, top + 1):
@@ -174,18 +169,17 @@ def _partitions_up_to(n_max: int, rows: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_oracle_equivalence(d_max: int = 12) -> CheckResult:
+def check_oracle_equivalence(d_max: int) -> CheckResult:
     del d_max
     rank = 3
-    shapes = _partitions_up_to(6, rank)
+    elements = []
+    for shape in _partitions_up_to(6, rank):
+        a = rr.RepElement.schur(rank, shape + (0,) * (rank - len(shape)))
+        elements.append((shape, a, rr.char_of(a)))
     pairs = 0
-    for pa in shapes:
-        a = rr.RepElement.schur(rank, tuple(pa) + (0,) * (rank - len(pa)))
-        ca = rr.char_of(a)
-        for pb in shapes:
-            b = rr.RepElement.schur(rank, tuple(pb) + (0,) * (rank - len(pb)))
-            product = rr.tensor(a, b)
-            if rr.char_of(product).coeffs != (ca * rr.char_of(b)).coeffs:
+    for pa, a, ca in elements:
+        for pb, b, cb in elements:
+            if rr.char_of(rr.tensor(a, b)).coeffs != (ca * cb).coeffs:
                 return CheckResult("oracle-equivalence", False, f"LR vs character at {pa} x {pb}")
             pairs += 1
     # Bott's formula on projective spaces of quotients (k = 1)
@@ -207,7 +201,7 @@ def check_oracle_equivalence(d_max: int = 12) -> CheckResult:
     return CheckResult("oracle-equivalence", True, f"{pairs} LR/character pairs and Bott on P^1..P^5")
 
 
-def check_pieri(d_max: int = 12) -> CheckResult:
+def check_pieri(d_max: int) -> CheckResult:
     del d_max
     a = rr.RepElement.schur(3, (2, 1, 0))
     sym = rr.tensor(a, rr.RepElement.schur(3, (2, 0, 0)))
@@ -223,7 +217,7 @@ def check_pieri(d_max: int = 12) -> CheckResult:
     return CheckResult("pieri", ok, "golden decompositions reproduced" if ok else "mismatch")
 
 
-def check_rank_identity(d_max: int = 12) -> CheckResult:
+def check_rank_identity(d_max: int) -> CheckResult:
     """The closed form against a count: d - l linear forms plus the quadratic monomials in l."""
     top = min(D_CAPS["rank-identity"], d_max)
     for d in range(1, top + 1):

@@ -75,7 +75,7 @@ def test_03_fully_faithfulness_soundness(report):
 def test_04_semiorthogonality_soundness(report):
     for d in range(5, 10):
         labels = box_labels(d)
-        sos = [lab.alpha for lab in enumerate_sos(d)]
+        sos = enumerate_sos(d)
         checked = set()
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:

@@ -94,9 +94,9 @@ class TestRankIdentity:
                 assert planar_rank_identity(d, l) == d + (l * l - l) // 2
 
     def test_verify_check_catches_wrong_closed_form(self, monkeypatch):
-        assert verify.check_rank_identity().passed
+        assert verify.check_rank_identity(12).passed
         monkeypatch.setattr(bc, "planar_rank_identity", lambda d, l: d + l * l // 2)
-        result = verify.check_rank_identity()
+        result = verify.check_rank_identity(12)
         assert not result.passed and result.detail == "(d=2, l=2)"
 
     def test_rejects_out_of_range(self):

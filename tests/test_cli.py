@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from schurbott import soc
 from schurbott.cli import main
+from schurbott.partitions import Weight
 
 
 def run(capsys, *argv):
@@ -45,6 +47,14 @@ class TestSchur:
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "schur", "dim", "--rank", "3", "2,1")
         assert code == 0 and "= 8" in out
+
+    def test_weight_longer_than_rank_follows_the_library(self, capsys):
+        code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "1,0,0")
+        assert code == 0 and out.strip() == "S(0,-1)"
+        code, out, _ = run(capsys, "schur", "dim", "--rank", "2", "1,1,1")
+        assert code == 0 and out.strip() == "dim S(1,1,1) = 0"
+        code, _, err = run(capsys, "schur", "dual", "--rank", "3", "1,-1")
+        assert code == 2 and "error:" in err
 
     def test_negative_weight_parsing(self, capsys):
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "0,-2")
@@ -177,6 +187,16 @@ class TestVerifyPaper:
         code, out, err = run(capsys, "verify-paper", "--d-max", "1")
         assert code == 2 and "error:" in err
         assert "PASS" not in out
+
+    def test_miscounted_labels_fail_with_a_report(self, capsys, monkeypatch):
+        box = soc.box_partitions
+        monkeypatch.setattr(soc, "box_partitions", lambda d: [a for a in box(d) if a != Weight((3, 3))])
+        code, out, _ = run(capsys, "verify-paper", "--d-max", "7")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 10
+        failed = {l.split()[0] for l in lines if "FAIL" in l}
+        assert failed == {"counting", "kummer-count"}
 
     def test_json_list(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify-paper", "--d-max", "5")

@@ -7,7 +7,6 @@ import pytest
 from schurbott.partitions import Weight, precedes, sort_key, weight
 from schurbott.rep_ring import RepElement, dual, tensor
 from schurbott.soc import (
-    FunctorLabel,
     check_cotangent_simple,
     check_exceptional,
     check_fully_faithful,
@@ -19,16 +18,19 @@ from schurbott.soc import (
 )
 
 
-class TestFunctorLabel:
+class TestBoxLabel:
     def test_box_bound(self):
-        FunctorLabel(weight(3, 3), 5)
-        with pytest.raises(ValueError):
-            FunctorLabel(weight(4, 0), 5)
-        with pytest.raises(ValueError):
-            FunctorLabel(weight(1, 0, 0), 5)
-
-    def test_width(self):
-        assert FunctorLabel(weight(3, 1), 6).width == 2
+        kernel_checks = (
+            lambda a: check_exceptional(a, 5),
+            lambda a: check_fully_faithful(a, 5),
+            lambda a: check_semiorthogonal(a, weight(0, 0), 5),
+        )
+        for check in kernel_checks:
+            assert check(weight(3, 3)).alpha == weight(3, 3)
+            with pytest.raises(ValueError, match="not inscribed in the 2x3 box"):
+                check(weight(4, 0))
+            with pytest.raises(ValueError, match="rank-2 partition"):
+                check(weight(1, 0, 0))
 
 
 class TestExtDecomposition:
@@ -79,9 +81,9 @@ class TestExceptional:
 class TestFullyFaithful:
     def test_narrow_labels_pass(self):
         for d in (5, 6):
-            for label in enumerate_ff(d):
-                report = check_fully_faithful(label.alpha, d)
-                assert report.verdict, (d, label.alpha)
+            for a in enumerate_ff(d):
+                report = check_fully_faithful(a, d)
+                assert report.verdict, (d, a)
                 assert report.hom_dimension == 1
                 assert not report.failures()
 
@@ -111,9 +113,9 @@ class TestSemiorthogonal:
             labels = enumerate_sos(d)
             for i, first in enumerate(labels):
                 for second in labels[i + 1 :]:
-                    report = check_semiorthogonal(first.alpha, second.alpha, d)
-                    assert report.verdict, (d, first.alpha, second.alpha)
-                    assert report.beta == second.alpha
+                    report = check_semiorthogonal(first, second, d)
+                    assert report.verdict, (d, first, second)
+                    assert report.beta == second
 
     def test_requires_strict_order(self):
         with pytest.raises(ValueError):
@@ -129,12 +131,12 @@ class TestSemiorthogonal:
 
 class TestEnumeration:
     def test_d5(self):
-        got = [lab.alpha.entries for lab in enumerate_ff(5)]
+        got = [a.entries for a in enumerate_ff(5)]
         assert set(got) == {(0, 0), (1, 1), (2, 2), (3, 3)}
         assert got == [(3, 3), (2, 2), (1, 1), (0, 0)]  # partition order
 
     def test_d6_sos(self):
-        got = [lab.alpha.entries for lab in enumerate_sos(6)]
+        got = [a.entries for a in enumerate_sos(6)]
         assert got == [(4, 4), (4, 3), (3, 3)]
 
     def test_counts(self):
@@ -145,14 +147,14 @@ class TestEnumeration:
 
     def test_order_is_the_partition_order(self):
         labels = enumerate_ff(8)
-        keys = [sort_key(lab.alpha) for lab in labels]
+        keys = [sort_key(a) for a in labels]
         assert keys == sorted(keys)
         for a, b in zip(labels, labels[1:]):
-            assert precedes(a.alpha, b.alpha)
+            assert precedes(a, b)
 
     def test_width_bound(self):
         for d in (5, 7, 9):
-            assert all(lab.width <= d - 5 for lab in enumerate_ff(d))
+            assert all(a.entries[0] - a.entries[1] <= d - 5 for a in enumerate_ff(d))
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
