@@ -2,13 +2,12 @@
 and verification of exceptional / semi-orthogonal collections built from the
 planar locus of the Hilbert scheme of three points."""
 
-from .partitions import Weight, compare, from_hook, parse_weight, to_hook, transpose, weyl_vector
+from .partitions import Weight, parse_weight
 from .rep_ring import (
     CharPoly,
     RepElement,
     char_of,
     decompose,
-    det_twist,
     dual,
     ext_power,
     sym_power,
@@ -31,17 +30,11 @@ from .soc import (
 
 __all__ = [
     "Weight",
-    "compare",
-    "transpose",
-    "from_hook",
-    "to_hook",
     "parse_weight",
-    "weyl_vector",
     "RepElement",
     "CharPoly",
     "tensor",
     "dual",
-    "det_twist",
     "sym_power",
     "ext_power",
     "char_of",

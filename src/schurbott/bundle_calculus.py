@@ -12,14 +12,8 @@ not depend on the ambient dimension d.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .rep_ring import RepElement, ext_power, sym_power, tensor
-
-
-class RouteDisagreementError(RuntimeError):
-    """Two independent computations of the same quantity disagree (a bug, never expected)."""
-
 
 FIBRE_RANK = 2
 
@@ -37,24 +31,15 @@ SES_MIDDLE = tensor(Q, sym_power(Q_DUAL, 2))
 
 @lru_cache(maxsize=None)
 def wedge_nprime(q: int) -> RepElement:
-    """Exterior power of the restricted normal bundle, computed two ways.
+    """Exterior power of the restricted normal bundle, by the character oracle on N'.
 
-    Route one applies the character oracle directly to N'.  Route two
-    solves the lambda-ring filtration identity of the defining sequence,
-    wedge^q(middle) = sum_i wedge^i(sub) (x) wedge^{q-i}(N'), for the
-    highest term.  Both must agree and be effective.
+    ``verify.check_normal_bundle`` (normal-bundle-wedges) cross-checks it
+    against the filtration identity of the defining sequence,
+    wedge^q(middle) = sum_i wedge^i(sub) (x) wedge^{q-i}(N').
     """
     if not 0 <= q <= 4:
         raise ValueError(f"N' has rank 4; wedge power {q} out of range")
-    direct = ext_power(NPRIME, q)
-    from_ses = ext_power(SES_MIDDLE, q)
-    for i in range(1, min(q, 2) + 1):
-        from_ses = from_ses - tensor(ext_power(SES_SUB, i), wedge_nprime(q - i))
-    if direct != from_ses or not direct.is_effective():
-        raise RouteDisagreementError(
-            f"wedge^{q} N': direct route {direct} vs filtration route {from_ses}"
-        )
-    return direct
+    return ext_power(NPRIME, q)
 
 
 def wedge2_middle() -> RepElement:
@@ -72,13 +57,10 @@ def wedge2_middle() -> RepElement:
 def planar_rank_identity(d: int, l: int) -> int:
     """Fibre dimension d + (l^2 - l)/2 of the conormal data of a planar ideal.
 
-    Cross-checked against the two-summand derivation: d - l linear forms
-    plus the binom(l+1, 2) surviving quadratic monomials.
+    ``verify.check_rank_identity`` (rank-identity) cross-checks it against a
+    count: d - l linear forms plus the quadratic monomials in l variables.
     """
     if not 1 <= l <= d:
         raise ValueError(f"need 1 <= l <= d, got l={l}, d={d}")
-    value = d + (l * l - l) // 2
-    if value != (d - l) + comb(l + 1, 2):
-        raise RouteDisagreementError(f"rank identity at d={d}, l={l}")
-    return value
+    return d + (l * l - l) // 2
 

@@ -27,7 +27,6 @@ class BWBOutcome:
 
     degree: int | None = None
     weight: Weight | None = None
-    multiplicity: int = 1
     repeated_value: int | None = None
 
     @property
@@ -37,7 +36,7 @@ class BWBOutcome:
     def dimension(self) -> int:
         if self.is_zero:
             return 0
-        return self.multiplicity * weyl_dim(self.weight)
+        return weyl_dim(self.weight)
 
     def to_json(self) -> dict:
         if self.is_zero:
@@ -111,9 +110,6 @@ class BundleExpr:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
 
-    def rank_of_bundle(self) -> int:
-        return sum(c * weyl_dim(g) * weyl_dim(q) for (g, q), c in self.terms.items())
-
     def tensor(self, other: "BundleExpr") -> "BundleExpr":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("bundles live on different Grassmannians")
@@ -152,9 +148,6 @@ class GradedCohomology:
 
     def is_zero(self) -> bool:
         return not self.groups
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * g.dimension() for p, g in self.groups.items())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -11,12 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc, verify
 from .bwb import bwb_single
 from .partitions import Weight, parse_weight, trivial
+
+#: Most monomial additions `schur sym|ext --power m` makes, m per combination
+#: of the weight monomials: about 1 s of work.
+MAX_POWER_ADDITIONS = 500_000
+#: Largest --d of `enumerate` and `kummer`, which walk the 2 x (d-2) box: about 1 s.
+MAX_LABEL_D = 400
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -42,13 +49,19 @@ def cmd_schur(args: argparse.Namespace) -> int:
         result = rr.tensor(elements[0], elements[1])
     elif args.operation == "dual":
         result = rr.dual(elements[0])
-    elif args.operation == "sym":
-        result = rr.sym_power(elements[0], args.power)
-    elif args.operation == "ext":
-        result = rr.ext_power(elements[0], args.power)
+    elif args.operation in ("sym", "ext"):
+        m = args.power
+        if m > 0:
+            dim = elements[0].dimension()
+            additions = m * (comb(dim + m - 1, m) if args.operation == "sym" else comb(dim, m))
+            if additions > MAX_POWER_ADDITIONS:
+                raise ValueError(
+                    f"{args.operation}^{m} of dimension {dim} needs {additions} monomial additions, over {MAX_POWER_ADDITIONS}"
+                )
+        result = (rr.sym_power if args.operation == "sym" else rr.ext_power)(elements[0], m)
     else:  # dim
-        dims = {str(w): e.dimension() for w, e in zip(args.weights, elements)}
-        _emit(args, "\n".join(f"dim S{w} = {v}" for w, v in dims.items()), {"dims": dims})
+        dims = [(str(w), e.dimension()) for w, e in zip(args.weights, elements)]
+        _emit(args, "\n".join(f"dim S{w} = {v}" for w, v in dims), {"dims": dict(dims)})
         return 0
     _emit(args, str(result), result.to_json())
     return 0
@@ -95,7 +108,13 @@ def cmd_check_so(args: argparse.Namespace) -> int:
     return _report_exit(args, soc.check_semiorthogonal(args.alpha, args.beta, args.d))
 
 
+def _check_label_d(d: int) -> None:
+    if d > MAX_LABEL_D:
+        raise ValueError(f"--d {d} is above {MAX_LABEL_D}, the largest box this command walks")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_label_d(args.d)
     labels = soc.enumerate_sos(args.d) if args.sos else soc.enumerate_ff(args.d)
     text = "\n".join(str(a) for a in labels) + f"\n{len(labels)} labels"
     _emit(args, text, {"d": args.d, "sos": args.sos, "labels": [list(a.entries) for a in labels]})
@@ -103,6 +122,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_kummer(args: argparse.Namespace) -> int:
+    _check_label_d(args.d)
     count = soc.kummer_count(args.d)
     _emit(args, str(count), {"d": args.d, "count": str(count)})
     return 0
@@ -133,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="representation ring operations")
     p.add_argument("operation", choices=("tensor", "dual", "sym", "ext", "dim"))
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--power", type=int, default=1, help="power for sym/ext")
+    p.add_argument("--power", type=int, default=1,
+                   help=f"power m for sym/ext: at most {MAX_POWER_ADDITIONS} monomial additions, m per combination")
     p.add_argument("weights", type=_weight_arg, nargs="+")
     p.set_defaults(func=cmd_schur)
 
@@ -166,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_so)
 
     p = sub.add_parser("enumerate", help="list the admissible kernel labels")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"ambient dimension, at most {MAX_LABEL_D}")
     p.add_argument("--sos", action="store_true", help="restrict to the semi-orthogonal sequence")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("kummer", help="length of the induced exceptional sequence")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"ambient dimension, at most {MAX_LABEL_D}")
     p.set_defaults(func=cmd_kummer)
 
     p = sub.add_parser("verify-paper", help="run the whole verification suite")
@@ -186,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, rr.DecompositionError) as exc:
+    except ValueError as exc:  # DecompositionError included
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

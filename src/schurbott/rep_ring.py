@@ -221,11 +221,6 @@ class RepElement:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RepElement":
-        terms = {Weight(tuple(t["weight"])): int(t["coeff"]) for t in data["terms"]}
-        return cls(int(data["rank"]), terms)
-
 
 def tensor(a: RepElement, b: RepElement) -> RepElement:
     """Bilinear extension of the Littlewood-Richardson product.
@@ -258,11 +253,6 @@ def dual(a: RepElement) -> RepElement:
     return RepElement(a.rank, {w.dual(): c for w, c in a.terms.items()})
 
 
-def det_twist(a: RepElement, m: int) -> RepElement:
-    """Tensor with the m-th power of the determinant: add m boxes in each row."""
-    return RepElement(a.rank, {w.shifted(m): c for w, c in a.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # Character oracle
 # ---------------------------------------------------------------------------
@@ -291,9 +281,6 @@ class CharPoly:
             for eb, cb in other.coeffs:
                 out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
         return CharPoly.from_counter(self.rank, out)
-
-    def evaluate_at_ones(self) -> int:
-        return sum(c for _, c in self.coeffs)
 
     def monomials(self) -> list[tuple[int, ...]]:
         """Multiset of exponent vectors; requires non-negative coefficients."""
@@ -346,15 +333,12 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
     return tuple(sorted(counts.items()))
 
 
-def schur_char(w: Weight, rank: int | None = None) -> CharPoly:
+def schur_char(w: Weight) -> CharPoly:
     """Character of Sigma^w as a Laurent polynomial (determinant shift for negatives)."""
-    rank = rank or w.rank
-    if w.rank != rank:
-        raise ValueError("rank mismatch")
     shape, m = _partition_shift(w)
-    mons = _schur_monomials(shape, rank)
+    mons = _schur_monomials(shape, w.rank)
     shifted = {tuple(x - m for x in e): c for e, c in mons}
-    return CharPoly.from_counter(rank, shifted)
+    return CharPoly.from_counter(w.rank, shifted)
 
 
 def char_of(a: RepElement) -> CharPoly:
@@ -370,7 +354,8 @@ def decompose(c: CharPoly, require_effective: bool = False) -> RepElement:
 
     Repeatedly subtracts the Schur character of the lexicographically
     largest remaining exponent vector.  For a genuine character this
-    terminates with the (unique) Schur expansion.
+    terminates with the (unique) Schur expansion; otherwise a non-dominant
+    leading exponent fails as a ``Weight`` (ValueError).
     """
     remaining = Counter(dict(c.coeffs))
     terms: dict[Weight, int] = {}
@@ -379,10 +364,6 @@ def decompose(c: CharPoly, require_effective: bool = False) -> RepElement:
         if not remaining:
             break
         top = max(remaining)
-        if any(a < b for a, b in zip(top, top[1:])):
-            raise DecompositionError(
-                f"leading exponent {top} is not dominant; not a character"
-            )
         mult = remaining[top]
         if require_effective and mult < 0:
             raise DecompositionError(

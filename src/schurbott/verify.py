@@ -81,6 +81,17 @@ def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
 def check_semiorthogonal(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
+    # This cap is the largest of the kernel checks, so the box at top holds
+    # every (alpha, beta) that any of them passes through ext_decomposition.
+    labels = soc.box_partitions(top)
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            closed = soc.ext_decomposition(a, b)
+            via_ring = rr.tensor(rr.RepElement.schur(2, a), rr.dual(rr.RepElement.schur(2, b)))
+            if closed != via_ring:
+                return CheckResult(
+                    "semi-orthogonality", False, f"Ext({b},{a}): closed form {closed} vs LR {via_ring}"
+                )
     for d in range(5, top + 1):
         sos = set(soc.enumerate_sos(d))
         seen_sos_pairs = 0
@@ -123,8 +134,16 @@ def check_exceptional_collection(d_max: int) -> CheckResult:
 
 def check_normal_bundle(d_max: int) -> CheckResult:
     del d_max  # fibre expressions are dimension-independent
+    # the filtration route: wedge^q(middle) = sum_i wedge^i(sub) (x) wedge^{q-i}(N')
+    zero = rr.RepElement.zero(2)
+    filtration = all(
+        rr.ext_power(bc.SES_MIDDLE, q)
+        == sum((rr.tensor(rr.ext_power(bc.SES_SUB, i), bc.wedge_nprime(q - i)) for i in range(q + 1)), zero)
+        for q in range(5)
+    )
     ok = (
-        bc.wedge_nprime(3) == rr.RepElement.schur(2, (3, 0))
+        filtration
+        and bc.wedge_nprime(3) == rr.RepElement.schur(2, (3, 0))
         and bc.wedge_nprime(4) == rr.RepElement.schur(2, (2, 2))
         and bc.wedge2_middle()
         == rr.RepElement(

@@ -11,8 +11,14 @@ from schurbott.bwb import (
     cohomology,
     graded_bwb,
 )
-from schurbott.partitions import Weight, trivial, weight
+from schurbott.partitions import Weight, trivial
 from schurbott.rep_ring import RepElement, dual, weyl_dim
+from young import weight
+
+
+def bundle_rank(expr):
+    """Rank of the bundle: each summand's two Weyl dimensions multiply."""
+    return sum(c * weyl_dim(g) * weyl_dim(q) for (g, q), c in expr.terms.items())
 
 
 class TestSingleBundle:
@@ -106,13 +112,13 @@ class TestBundleExpr:
     def test_from_qdual_and_rank(self):
         e = RepElement.schur(2, (2, 0)) + RepElement.schur(2, (1, 1))
         bundle = BundleExpr.from_qdual(5, 2, e)
-        assert bundle.rank_of_bundle() == 3 + 1
+        assert bundle_rank(bundle) == 3 + 1
 
     def test_tensor_matches_rank_product(self):
         a = BundleExpr.from_qdual(5, 2, RepElement.schur(2, (2, 0)))
         b = BundleExpr.from_qdual(5, 2, RepElement.schur(2, (1, 0)))
         prod = a.tensor(b)
-        assert prod.rank_of_bundle() == a.rank_of_bundle() * b.rank_of_bundle()
+        assert bundle_rank(prod) == bundle_rank(a) * bundle_rank(b)
 
     def test_dual_involution(self):
         omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
@@ -142,11 +148,6 @@ class TestCohomology:
         assert coh.dimensions() == {0: 1, 1: 24}
         assert coh.groups[1] == RepElement.schur(5, (1, 0, 0, 0, -1))
         assert weyl_dim(Weight((1, 0, 0, 0, -1))) == 24
-
-    def test_euler_characteristic(self):
-        omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
-        coh = cohomology(omega.tensor(omega.dual()))
-        assert coh.euler_characteristic() == 1 - 24
 
     def test_zero_object(self):
         coh = cohomology(BundleExpr(5, 2, {}))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from schurbott import rep_ring as rr
 from schurbott import soc
-from schurbott.cli import main
+from schurbott.cli import MAX_LABEL_D, MAX_POWER_ADDITIONS, main
 from schurbott.partitions import Weight
 
 
@@ -47,6 +48,13 @@ class TestSchur:
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "schur", "dim", "--rank", "3", "2,1")
         assert code == 0 and "= 8" in out
+
+    def test_dim_prints_one_line_per_input_in_order(self, capsys):
+        code, out, _ = run(capsys, "schur", "dim", "--rank", "2", "1,0", "2,1", "1,0")
+        assert code == 0
+        assert out.splitlines() == ["dim S(1,0) = 2", "dim S(2,1) = 2", "dim S(1,0) = 2"]
+        code, out, _ = run(capsys, "--format", "json", "schur", "dim", "--rank", "2", "1,0", "1,0")
+        assert code == 0 and json.loads(out) == {"dims": {"(1,0)": 2}}
 
     def test_weight_longer_than_rank_follows_the_library(self, capsys):
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "1,0,0")
@@ -160,6 +168,52 @@ class TestKummer:
         assert code == 2 and "error:" in err
 
 
+@pytest.fixture
+def computed(monkeypatch):
+    """Replace each size-guarded computation by a stub that records its call."""
+    calls = []
+    stubs = [
+        (soc, "kummer_count", 0),
+        (soc, "enumerate_ff", []),
+        (soc, "enumerate_sos", []),
+        (rr, "sym_power", rr.RepElement.zero(2)),
+        (rr, "ext_power", rr.RepElement.zero(2)),
+    ]
+    for module, name, value in stubs:
+        def stub(*args, name=name, value=value):
+            calls.append(name)
+            return value
+        monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize("command", [["kummer"], ["enumerate"], ["enumerate", "--sos"]])
+    def test_label_d_bound(self, capsys, computed, command):
+        code, _, err = run(capsys, *command, "--d", str(MAX_LABEL_D + 1))
+        assert code == 2 and f"above {MAX_LABEL_D}" in err and computed == []
+        code, _, _ = run(capsys, *command, "--d", str(MAX_LABEL_D))
+        assert code == 0 and len(computed) == 1
+
+    @pytest.mark.parametrize(
+        "operation, rank, weight, largest",
+        [("sym", "2", "1,0", 706), ("ext", "3", "6,0,0", 5)],
+    )
+    def test_power_bound(self, capsys, computed, operation, rank, weight, largest):
+        # sym^706 of S(1,0) makes 706 * 707 additions, ext^5 of S(6,0,0) 5 * comb(28, 5)
+        code, _, err = run(capsys, "schur", operation, "--rank", rank, "--power", str(largest + 1), weight)
+        assert code == 2 and f"over {MAX_POWER_ADDITIONS}" in err and computed == []
+        code, _, _ = run(capsys, "schur", operation, "--rank", rank, "--power", str(largest), weight)
+        assert code == 0 and computed == [f"{operation}_power"]
+
+    def test_bounds_are_in_the_help(self, capsys):
+        for command in (["schur"], ["kummer"], ["enumerate"]):
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            bound = MAX_POWER_ADDITIONS if command == ["schur"] else MAX_LABEL_D
+            assert f"at most {bound}" in capsys.readouterr().out
+
+
 class TestVerifyPaper:
     def test_all_pass(self, capsys):
         code, out, err = run(capsys, "verify-paper", "--d-max", "5")
@@ -197,6 +251,19 @@ class TestVerifyPaper:
         assert len(lines) == 10
         failed = {l.split()[0] for l in lines if "FAIL" in l}
         assert failed == {"counting", "kummer-count"}
+
+    def test_wrong_closed_form_ext_fails_semi_orthogonality(self, capsys, monkeypatch):
+        ext = soc.ext_decomposition
+
+        def without_last_summand(a, b):
+            terms = ext(a, b).sorted_terms()
+            return rr.RepElement(2, dict(terms[:-1] if len(terms) >= 2 else terms))
+
+        monkeypatch.setattr(soc, "ext_decomposition", without_last_summand)
+        code, out, _ = run(capsys, "verify-paper", "--d-max", "7")
+        assert code == 1
+        (line,) = [l for l in out.splitlines() if l.startswith("semi-orthogonality")]
+        assert "FAIL" in line and "closed form" in line
 
     def test_json_list(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify-paper", "--d-max", "5")

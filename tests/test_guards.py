@@ -1,4 +1,5 @@
-"""Guards in the package must survive ``python -O``, which strips asserts."""
+"""Package-wide guards: checks that survive ``python -O`` (which strips asserts),
+and a public surface that imports cleanly."""
 
 import ast
 from pathlib import Path
@@ -15,3 +16,12 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements (stripped by -O): {found}"
+
+
+def test_public_names_are_unique_and_resolve():
+    names = schurbott.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(schurbott, n)] == []
+    namespace = {}
+    exec("from schurbott import *", namespace)
+    assert set(names) <= set(namespace)

@@ -4,18 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schurbott.partitions import (
-    Weight,
-    compare,
-    from_hook,
-    parse_weight,
-    precedes,
-    sort_key,
-    to_hook,
-    transpose,
-    weight,
-    weyl_vector,
-)
+from schurbott.partitions import Weight, parse_weight, precedes, sort_key
+from young import from_hook, to_hook, transpose, weight
 
 
 def box_partitions(rows, cols):
@@ -50,9 +40,6 @@ class TestWeight:
         assert parse_weight("3,-1") == weight(3, -1)
         with pytest.raises(ValueError):
             parse_weight("a,b")
-
-    def test_weyl_vector(self):
-        assert weyl_vector(5).entries == (5, 4, 3, 2, 1)
 
 
 class TestTranspose:
@@ -109,10 +96,11 @@ class TestHooks:
 class TestCompare:
     def test_more_boxes_first(self):
         assert precedes(weight(2, 2), weight(1, 1))
-        assert compare(weight(2, 2), weight(1, 1)) == -1
+        assert not precedes(weight(1, 1), weight(2, 2))
 
     def test_reflexive(self):
-        assert compare(weight(2, 1), weight(2, 1)) == 0
+        assert not precedes(weight(2, 1), weight(2, 1))
+        assert sort_key(weight(2, 1)) == sort_key(weight(2, 1))
 
     def test_lex_tiebreak(self):
         assert precedes(weight(3, 1), weight(2, 2))
@@ -123,15 +111,13 @@ class TestCompare:
         keys = [sort_key(p) for p in shapes]
         assert len(set(keys)) == len(keys)
         for a, b in itertools.product(shapes, repeat=2):
-            ca, cb = compare(a, b), compare(b, a)
-            assert ca == -cb
-            if ca == 0:
-                assert a == b
-            if ca == -1:
+            # exactly one of: a first, b first, a == b
+            assert [precedes(a, b), precedes(b, a), a == b].count(True) == 1
+            if precedes(a, b):
                 assert b.size <= a.size
         for a, b, c in itertools.product(shapes, repeat=3):
-            if compare(a, b) <= 0 and compare(b, c) <= 0:
-                assert compare(a, c) <= 0
+            if precedes(a, b) and precedes(b, c):
+                assert precedes(a, c)
 
 
 @given(

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurbott.partitions import Weight, from_hook, transpose, weight
+from schurbott.partitions import Weight
 from schurbott.rep_ring import (
     CharPoly,
     DecompositionError,
     RepElement,
     char_of,
     decompose,
-    det_twist,
     dual,
     ext_power,
     lr_coefficients,
@@ -20,6 +19,7 @@ from schurbott.rep_ring import (
     tensor,
     weyl_dim,
 )
+from young import from_hook, to_hook, transpose, weight
 
 
 def S(rank, *entries):
@@ -66,7 +66,7 @@ class TestWeylDim:
         for p in [(1,), (2,), (2, 1), (3, 1), (2, 2)]:
             padded = p + (0,) * (3 - len(p))
             char = schur_char(Weight(padded))
-            assert char.evaluate_at_ones() == weyl_dim(Weight(padded))
+            assert sum(c for _, c in char.coeffs) == weyl_dim(Weight(padded))
 
 
 class TestLR:
@@ -169,12 +169,6 @@ class TestDual:
         x, y = S(3, *a), S(3, *b)
         assert dual(tensor(x, y)) == tensor(dual(x), dual(y))
 
-    def test_det_twist_is_det_product(self):
-        x = S(3, 2, 1, 0)
-        det = S(3, 1, 1, 1)
-        assert det_twist(x, 1) == tensor(x, det)
-        assert det_twist(det_twist(x, 2), -2) == x
-
 
 class TestCharacterOracle:
     def test_oracle_agrees_with_lr(self):
@@ -201,7 +195,7 @@ class TestCharacterOracle:
 
     def test_decompose_rejects_non_character(self):
         bad = CharPoly.from_counter(2, {(0, 1): 1})
-        with pytest.raises(DecompositionError):
+        with pytest.raises(ValueError, match="non-increasing"):
             decompose(bad)
 
     def test_require_effective_flags_virtual(self):
@@ -217,8 +211,6 @@ def even_rows(p):
 
 def hook_shapes(n, offset, max_rows):
     """Partitions of n whose hooks (u | v) all satisfy u_i = v_i + offset."""
-    from schurbott.partitions import to_hook
-
     out = []
     for p in partitions_of(n, max_rows):
         u, v = to_hook(Weight(p))
@@ -328,10 +320,6 @@ class TestPlethysm:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        x = S(3, 3, 1, -2).scaled(2) + S(3, 0, 0, 0)
-        assert RepElement.from_json(x.to_json()) == x
-
     def test_schema_fields(self):
         data = S(2, 1, 0).to_json()
         assert data == {"rank": 2, "terms": [{"weight": [1, 0], "coeff": 1}]}

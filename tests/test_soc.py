@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from schurbott.partitions import Weight, precedes, sort_key, weight
+from schurbott.partitions import Weight, precedes, sort_key
 from schurbott.rep_ring import RepElement, dual, tensor
 from schurbott.soc import (
     check_cotangent_simple,
@@ -16,6 +16,7 @@ from schurbott.soc import (
     ext_decomposition,
     kummer_count,
 )
+from young import weight
 
 
 class TestBoxLabel:
@@ -42,7 +43,6 @@ class TestExtDecomposition:
         assert got == RepElement.schur(2, (2, -1)) + RepElement.schur(2, (1, 0))
 
     def test_matches_ring_route(self):
-        # the closed form asserts agreement internally; exercise many pairs
         shapes = [weight(a1, a2) for a1 in range(4) for a2 in range(a1 + 1)]
         for a, b in itertools.product(shapes, repeat=2):
             ext = ext_decomposition(a, b)

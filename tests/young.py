@@ -1,0 +1,82 @@
+"""Young-diagram helpers the tests use as independent oracles.
+
+The package itself never conjugates a diagram or reads hook coordinates;
+the plethysm closed forms and the hook-content formula in the tests do.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from schurbott.partitions import Weight
+
+
+def weight(*entries: int) -> Weight:
+    return Weight(tuple(entries))
+
+
+def _rows(p: Weight) -> tuple[int, ...]:
+    """The entries without their zero tail."""
+    n = p.rank
+    while n and p.entries[n - 1] == 0:
+        n -= 1
+    return p.entries[:n]
+
+
+def transpose(p: Weight) -> Weight:
+    """Conjugate Young diagram (columns become rows).
+
+    Only defined for partitions.  Trailing zeros are stripped before
+    conjugating; the transpose of the zero partition is the rank-1 zero
+    weight.
+    """
+    if not p.is_partition():
+        raise ValueError(f"transpose needs non-negative entries, got {p}")
+    rows = _rows(p)
+    if not rows:
+        return Weight((0,))
+    return Weight(tuple(sum(1 for r in rows if r > j) for j in range(rows[0])))
+
+
+def to_hook(p: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Diagonal hook coordinates (u|v) of a non-empty partition.
+
+    u_i counts the boxes of row i from the diagonal box (i,i) rightwards,
+    v_i the boxes of column i from (i,i) downwards, both inclusive.
+    """
+    rows = _rows(p)
+    if not rows:
+        raise ValueError("the empty diagram has no hook coordinates")
+    cols = transpose(p).entries
+    u = []
+    v = []
+    for i, r in enumerate(rows):
+        if r <= i:
+            break
+        u.append(r - i)
+        v.append(cols[i] - i)
+    return tuple(u), tuple(v)
+
+
+def from_hook(arms: Iterable[int], legs: Iterable[int]) -> Weight:
+    """Partition with i-th diagonal hook of arm arms[i] and leg legs[i]."""
+    u = tuple(int(a) for a in arms)
+    v = tuple(int(b) for b in legs)
+    if len(u) != len(v):
+        raise ValueError("arm and leg vectors must have equal length")
+    if not u:
+        raise ValueError("at least one hook is required")
+    for seq, name in ((u, "arms"), (v, "legs")):
+        if any(x <= 0 for x in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
+            raise ValueError(f"{name} must be strictly decreasing and positive")
+    r = len(u)
+    rows = []
+    for i in range(v[0]):  # column 0 reaches row v[0]-1
+        if i < r:
+            rows.append(u[i] + i)
+        else:
+            rows.append(sum(1 for j in range(r) if v[j] + j > i))
+    result = Weight(tuple(rows))
+    if to_hook(result) != (u, v):
+        raise ValueError(f"incompatible hook data (u={u}, v={v})")
+    return result
