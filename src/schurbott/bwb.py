@@ -6,6 +6,12 @@ vector (d,...,1); a repeated entry kills all cohomology, otherwise sorting
 with the unique permutation sigma puts the cohomology of the bundle in the
 single degree l(sigma) where it equals the irreducible of highest weight
 sigma(alpha+rho)-rho, viewed as a Schur functor of the dual ambient space.
+
+When the K-part is trivial its dotted values are exactly k+1..d, and the
+Q-part's dotted values delta_i + k - i strictly decrease, so the bundle's
+cohomology vanishes iff some delta_i + k - i lies in k+1..d; the first such
+value is the repeat.  ``bwb_single`` reads that off the Q-part alone and
+runs the full dotted action only for the other bundles.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     q = delta if isinstance(delta, Weight) else Weight(tuple(delta))
     if g.rank != d - k or q.rank != k:
         raise ValueError(f"G({k},{d}) needs {d - k} K- and {k} Q-dual entries, got {g} and {q}")
+    if g.is_zero():  # the trivial-K vanishing rule of the module docstring
+        for i, e in enumerate(q.entries):
+            if k < e + k - i <= d:
+                return BWBOutcome(repeated_value=e + k - i)
     alpha = g.entries + q.entries
     rho = tuple(range(d, 0, -1))
     dotted = [a + r for a, r in zip(alpha, rho)]

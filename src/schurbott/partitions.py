@@ -40,7 +40,7 @@ class Weight:
         return self.entries[-1] >= 0
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def padded(self, rank: int) -> "Weight":
         """Extend a partition with trailing zeros up to the given rank."""

@@ -1,10 +1,13 @@
 """The representation ring of GL_r in the Schur basis.
 
-Products are computed by the Littlewood-Richardson rule (negative entries
-are routed through a determinant shift).  Symmetric/exterior powers and
-general plethysms go through an independent character-polynomial oracle:
-expand into a multiset of weight monomials, apply the elementary or
-complete symmetric function, and peel the result back into Schur terms.
+Products at rank 2 are the Clebsch-Gordan closed form; at every other rank
+they are computed by the Littlewood-Richardson rule (negative entries are
+routed through a determinant shift).  ``lr_tensor`` runs the
+Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
+the closed form is checked against.  Symmetric/exterior powers and general
+plethysms go through an independent character-polynomial oracle: expand
+into a multiset of weight monomials, apply the elementary or complete
+symmetric function, and peel the result back into Schur terms.
 """
 
 from __future__ import annotations
@@ -223,10 +226,35 @@ class RepElement:
 
 
 def tensor(a: RepElement, b: RepElement) -> RepElement:
-    """Bilinear extension of the Littlewood-Richardson product.
+    """Bilinear product: Clebsch-Gordan at rank 2, ``lr_tensor`` at any other rank."""
+    if a.rank == b.rank == 2:
+        return _clebsch_gordan(a, b)
+    return lr_tensor(a, b)
+
+
+def _clebsch_gordan(a: RepElement, b: RepElement) -> RepElement:
+    """Rank-2 product, term by term:
+
+    S(a1,a2) (x) S(b1,b2) = sum over g = 0..min(a1-a2, b1-b2) of S(a1+b1-g, a2+b2+g).
+    """
+    out: dict[tuple[int, int], int] = {}
+    b_terms = [(wb.entries, cb) for wb, cb in b.terms.items()]
+    for wa, ca in a.terms.items():
+        a1, a2 = wa.entries
+        for (b1, b2), cb in b_terms:
+            c = ca * cb
+            for g in range(min(a1 - a2, b1 - b2) + 1):
+                e = (a1 + b1 - g, a2 + b2 + g)
+                out[e] = out.get(e, 0) + c
+    return RepElement(2, {Weight(e): c for e, c in out.items() if c})
+
+
+def lr_tensor(a: RepElement, b: RepElement) -> RepElement:
+    """Bilinear extension of the Littlewood-Richardson product, at any rank.
 
     Weights with negative entries are shifted into partitions, multiplied,
-    and twisted back; shapes with more than ``rank`` rows vanish.
+    and twisted back; shapes with more than ``rank`` rows vanish.  At rank 2
+    this is the oracle for the Clebsch-Gordan route of ``tensor``.
     """
     a._check(b)
     rank = a.rank
@@ -292,6 +320,27 @@ class CharPoly:
         return out
 
 
+def _row_fillings(length: int, above: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing rows of letters 1..rank, each larger than the letter above it, in lex order.
+
+    Iterative (one odometer step per row, not one call per box), so a row of
+    any length fills without deepening the stack.
+    """
+    lo = [above[j] + 1 if j < len(above) else 1 for j in range(length)]
+    if lo[-1] > rank:
+        return
+    row = lo[:]
+    while True:
+        yield tuple(row)
+        j = length - 1
+        while j >= 0 and row[j] == rank:
+            j -= 1
+        if j < 0:
+            return
+        v = row[j] = row[j] + 1
+        row[j + 1 :] = [max(v, b) for b in lo[j + 1 :]]
+
+
 @lru_cache(maxsize=None)
 def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Weight multiset of s_shape(x_1..x_rank) via semistandard tableaux."""
@@ -306,21 +355,7 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
         if i == len(rows):
             yield ()
             return
-        length = rows[i]
-
-        def row_fill(j: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if j == length:
-                yield tuple(acc)
-                return
-            lo = acc[-1] if acc else 1
-            if j < len(above):
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, rank + 1):
-                acc.append(v)
-                yield from row_fill(j + 1, acc)
-                acc.pop()
-
-        for row in row_fill(0, []):
+        for row in _row_fillings(rows[i], above, rank):
             for rest in rows_iter(i + 1, row):
                 yield (row,) + rest
 

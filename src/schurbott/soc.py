@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bundle_calculus import wedge_nprime
 from .bwb import BWBOutcome, BundleExpr, GradedCohomology, graded_bwb
 from .partitions import Weight, sort_key, precedes, trivial
-from .rep_ring import RepElement, tensor
+from .rep_ring import RepElement, dual, tensor
 
 
 @dataclass
@@ -81,20 +81,15 @@ def _box_label(alpha, d: int) -> Weight:
 def ext_decomposition(alpha, beta) -> RepElement:
     """Schur expansion of S^alpha Q^v (x) (S^beta Q^v)^v on the rank-2 fibre.
 
-    Closed form: sum over g = 0..min(width(alpha), width(beta)) of
+    This is ``tensor(S^alpha, dual(S^beta))``, the Clebsch-Gordan sum over
+    g = 0..min(width(alpha), width(beta)) of
     S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).
     ``verify.check_semiorthogonal`` (semi-orthogonality) cross-checks it
     against the Littlewood-Richardson product over the kernel box.
     """
     a = _as_label_weight(alpha)
     b = _as_label_weight(beta)
-    a1, a2 = a.entries
-    b1, b2 = b.entries
-    terms: dict[Weight, int] = {}
-    for g in range(min(a1 - a2, b1 - b2) + 1):
-        w = Weight((a1 - b2 - g, a2 - b1 + g))
-        terms[w] = terms.get(w, 0) + 1
-    return RepElement(2, terms)
+    return tensor(RepElement.schur(2, a), dual(RepElement.schur(2, b)))
 
 
 def _trace_cohomology(

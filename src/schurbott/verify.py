@@ -86,8 +86,9 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     labels = soc.box_partitions(top)
     for i, a in enumerate(labels):
         for b in labels[i:]:
+            # lr_tensor, not tensor: tensor is the closed form itself at rank 2
             closed = soc.ext_decomposition(a, b)
-            via_ring = rr.tensor(rr.RepElement.schur(2, a), rr.dual(rr.RepElement.schur(2, b)))
+            via_ring = rr.lr_tensor(rr.RepElement.schur(2, a), rr.dual(rr.RepElement.schur(2, b)))
             if closed != via_ring:
                 return CheckResult(
                     "semi-orthogonality", False, f"Ext({b},{a}): closed form {closed} vs LR {via_ring}"

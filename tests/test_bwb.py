@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from schurbott.bwb import (
 )
 from schurbott.partitions import Weight, trivial
 from schurbott.rep_ring import RepElement, dual, weyl_dim
-from young import weight
+from young import dotted_action, weight
 
 
 def bundle_rank(expr):
@@ -87,6 +88,28 @@ class TestSingleBundle:
                     assert out.degree == n and out.dimension() == comb(m - 1, n)
                 else:
                     assert out.is_zero
+
+    def test_trivial_k_rule_matches_the_dotted_action(self):
+        # every non-increasing Q-part with entries in [-(d+2), d+2] while there
+        # are at most `sweep` of them; past that (up to 1.7e9 at d = 12) `sweep`
+        # parts drawn with a fixed seed, each a sorted uniform draw from the range
+        sweep = 1500
+        draw = random.Random(7)
+        for d in range(3, 13):
+            values = range(-(d + 2), d + 3)
+            for k in range(1, d):
+                if comb(len(values) + k - 1, k) <= sweep:
+                    parts = itertools.combinations_with_replacement(reversed(values), k)
+                else:
+                    parts = (sorted(draw.choices(values, k=k), reverse=True) for _ in range(sweep))
+                gamma = (0,) * (d - k)
+                for delta in parts:
+                    out = bwb_single(d, k, gamma, delta)
+                    kind = "zero" if out.is_zero else "nonzero"
+                    beta = None if out.is_zero else out.weight.entries
+                    assert (kind, out.degree, beta, out.repeated_value) == dotted_action(
+                        d, k, gamma, delta
+                    ), (d, k, delta)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

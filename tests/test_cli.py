@@ -41,6 +41,10 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "2,0")
         assert code == 0 and out.strip() == "S(0,-2)"
 
+    def test_row_longer_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "schur", "ext", "--rank", "2", "--power", "1", "2000,0")
+        assert code == 0 and out.strip() == "S(2000,0)"
+
     def test_tensor_needs_two_weights_is_usage_error(self, capsys):
         code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
         assert code == 2 and "two weights" in err
@@ -260,6 +264,19 @@ class TestVerifyPaper:
             return rr.RepElement(2, dict(terms[:-1] if len(terms) >= 2 else terms))
 
         monkeypatch.setattr(soc, "ext_decomposition", without_last_summand)
+        code, out, _ = run(capsys, "verify-paper", "--d-max", "7")
+        assert code == 1
+        (line,) = [l for l in out.splitlines() if l.startswith("semi-orthogonality")]
+        assert "FAIL" in line and "closed form" in line
+
+    def test_wrong_rank_two_product_fails_against_lr(self, capsys, monkeypatch):
+        cg = rr._clebsch_gordan
+
+        def without_last_summand(a, b):
+            terms = cg(a, b).sorted_terms()
+            return rr.RepElement(2, dict(terms[:-1] if len(terms) >= 2 else terms))
+
+        monkeypatch.setattr(rr, "_clebsch_gordan", without_last_summand)
         code, out, _ = run(capsys, "verify-paper", "--d-max", "7")
         assert code == 1
         (line,) = [l for l in out.splitlines() if l.startswith("semi-orthogonality")]

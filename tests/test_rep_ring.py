@@ -14,6 +14,7 @@ from schurbott.rep_ring import (
     dual,
     ext_power,
     lr_coefficients,
+    lr_tensor,
     schur_char,
     sym_power,
     tensor,
@@ -120,6 +121,21 @@ class TestLR:
         got = tensor(S(2, 1, 0), S(2, 0, -1))
         assert got == S(2, 1, -1) + S(2, 0, 0)
         assert got.dimension() == 4
+
+    def test_clebsch_gordan_matches_lr_at_rank_two(self):
+        weights = [w for w in itertools.product(range(4, -5, -1), repeat=2) if w[0] >= w[1]]
+        for a, b in itertools.product(weights, repeat=2):
+            assert tensor(S(2, *a), S(2, *b)) == lr_tensor(S(2, *a), S(2, *b)), (a, b)
+
+    def test_clebsch_gordan_matches_lr_with_multiplicities(self):
+        x = S(2, 3, 1) + S(2, 0, -2).scaled(2) - S(2, 1, 1)
+        y = S(2, 2, 0).scaled(3) + S(2, -1, -3) + S(2, 4, 4)
+        for a, b in ((x, y), (y, x), (x, x), (x, RepElement.zero(2))):
+            assert tensor(a, b) == lr_tensor(a, b)
+        # the S(1,0) terms cancel
+        got = tensor(S(2, 1, 0) - S(2, 0, 0), S(2, 1, 0) + S(2, 0, 0))
+        assert got == lr_tensor(S(2, 1, 0) - S(2, 0, 0), S(2, 1, 0) + S(2, 0, 0))
+        assert got == S(2, 2, 0) + S(2, 1, 1) - S(2, 0, 0)
 
 
 class TestRingLaws:

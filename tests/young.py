@@ -1,7 +1,9 @@
-"""Young-diagram helpers the tests use as independent oracles.
+"""Young-diagram helpers and a Borel-Weil-Bott reference the tests use as oracles.
 
 The package itself never conjugates a diagram or reads hook coordinates;
 the plethysm closed forms and the hook-content formula in the tests do.
+``dotted_action`` is the generic Borel-Weil-Bott computation with no
+shortcut, the reference for ``bwb_single``'s trivial-K rule.
 """
 
 from __future__ import annotations
@@ -80,3 +82,22 @@ def from_hook(arms: Iterable[int], legs: Iterable[int]) -> Weight:
     if to_hook(result) != (u, v):
         raise ValueError(f"incompatible hook data (u={u}, v={v})")
     return result
+
+
+def dotted_action(d: int, k: int, gamma, delta) -> tuple:
+    """Borel-Weil-Bott for S^gamma K (x) S^delta Q^v on G(k,d), by the full dotted action.
+
+    Returns (kind, degree, weight entries, repeated value): the first value
+    repeated in (gamma || delta) + (d, ..., 1) kills the cohomology;
+    otherwise sorting gives the degree (inversions) and the weight.
+    """
+    rho = range(d, 0, -1)
+    dotted = [a + r for a, r in zip(tuple(gamma) + tuple(delta), rho)]
+    seen = set()
+    for v in dotted:
+        if v in seen:
+            return "zero", None, None, v
+        seen.add(v)
+    inversions = sum(1 for i in range(d) for j in range(i + 1, d) if dotted[i] < dotted[j])
+    beta = tuple(v - r for v, r in zip(sorted(dotted, reverse=True), rho))
+    return "nonzero", inversions, beta, None
