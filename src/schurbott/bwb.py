@@ -149,10 +149,6 @@ class GradedCohomology:
             p: g for p, g in (groups or {}).items() if not g.is_zero()
         }
 
-    def dimension(self, degree: int) -> int:
-        g = self.groups.get(degree)
-        return g.dimension() if g is not None else 0
-
     def dimensions(self) -> dict[int, int]:
         return {p: g.dimension() for p, g in sorted(self.groups.items())}
 
@@ -179,25 +175,14 @@ class GradedCohomology:
         }
 
 
-def graded_bwb(d: int, k: int, summands) -> tuple[GradedCohomology, list[BWBOutcome]]:
-    """Borel-Weil-Bott on each summand ((gamma, delta), coeff) of a bundle on G(k,d).
-
-    Returns the cohomology grouped by degree, and each summand's outcome in
-    input order.
-    """
-    groups: dict[int, dict[Weight, int]] = {}
-    outcomes = []
-    for (g, q), c in summands:
-        outcome = bwb_single(d, k, g, q)
-        outcomes.append(outcome)
-        if not outcome.is_zero:
-            group = groups.setdefault(outcome.degree, {})
-            group[outcome.weight] = group.get(outcome.weight, 0) + c
-    return GradedCohomology(d, {p: RepElement(d, ws) for p, ws in groups.items()}), outcomes
-
-
 def cohomology(expr: BundleExpr) -> GradedCohomology:
     """Termwise Borel-Weil-Bott, grouped by cohomological degree."""
     if not expr.is_effective():
         raise ValueError("cohomology of a virtual bundle expression is undefined")
-    return graded_bwb(expr.d, expr.k, expr.terms.items())[0]
+    groups: dict[int, dict[Weight, int]] = {}
+    for (g, q), c in expr.terms.items():
+        outcome = bwb_single(expr.d, expr.k, g, q)
+        if not outcome.is_zero:
+            group = groups.setdefault(outcome.degree, {})
+            group[outcome.weight] = group.get(outcome.weight, 0) + c
+    return GradedCohomology(expr.d, {p: RepElement(expr.d, ws) for p, ws in groups.items()})

@@ -22,7 +22,9 @@ from .partitions import Weight, parse_weight, trivial
 #: Most monomial additions `schur sym|ext --power m` makes, m per combination
 #: of the weight monomials: about 1 s of work.
 MAX_POWER_ADDITIONS = 500_000
-#: Largest --d of `enumerate` and `kummer`, which walk the 2 x (d-2) box: about 1 s.
+#: Largest --d of `bwb`, `check-*`, `enumerate` and `kummer`, and largest
+#: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus about
+#: 0.7 s per Weyl dimension a check reports at that size.
 MAX_LABEL_D = 400
 
 
@@ -41,11 +43,12 @@ def _weight_arg(text: str) -> Weight:
 
 
 def cmd_schur(args: argparse.Namespace) -> int:
-    rank = args.rank
-    elements = [rr.RepElement.schur(rank, w) for w in args.weights]
+    _check_label_d(args.rank, "--rank")
+    if args.operation != "dim" and len(args.weights) != (2 if args.operation == "tensor" else 1):
+        count = "two weights" if args.operation == "tensor" else "one weight"
+        raise ValueError(f"schur {args.operation} needs exactly {count}")
+    elements = [rr.RepElement.schur(args.rank, w) for w in args.weights]
     if args.operation == "tensor":
-        if len(elements) != 2:
-            raise ValueError("schur tensor needs exactly two weights")
         result = rr.tensor(elements[0], elements[1])
     elif args.operation == "dual":
         result = rr.dual(elements[0])
@@ -69,6 +72,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
 
 def cmd_bwb(args: argparse.Namespace) -> int:
     d, k = args.d, args.k
+    _check_label_d(d)
     gamma = args.k_weight if args.k_weight is not None else trivial(d - k)
     outcome = bwb_single(d, k, gamma, args.q_weight)
     _emit(args, str(outcome), outcome.to_json())
@@ -80,8 +84,9 @@ def cmd_wedge(args: argparse.Namespace) -> int:
         result = bc.wedge2_middle()
         label = "wedge^2 of the middle term"
     else:
-        result = bc.wedge_nprime(args.q)
-        label = f"wedge^{args.q} N'"
+        q = 1 if args.q is None else args.q
+        result = bc.wedge_nprime(q)
+        label = f"wedge^{q} N'"
     _emit(args, f"{label} = {result} (rank {result.dimension()})", result.to_json())
     return 0
 
@@ -97,20 +102,23 @@ def _report_exit(args: argparse.Namespace, report: soc.VerificationReport) -> in
 
 
 def cmd_check_exc(args: argparse.Namespace) -> int:
+    _check_label_d(args.d)
     return _report_exit(args, soc.check_exceptional(args.alpha, args.d))
 
 
 def cmd_check_ff(args: argparse.Namespace) -> int:
+    _check_label_d(args.d)
     return _report_exit(args, soc.check_fully_faithful(args.alpha, args.d))
 
 
 def cmd_check_so(args: argparse.Namespace) -> int:
+    _check_label_d(args.d)
     return _report_exit(args, soc.check_semiorthogonal(args.alpha, args.beta, args.d))
 
 
-def _check_label_d(d: int) -> None:
-    if d > MAX_LABEL_D:
-        raise ValueError(f"--d {d} is above {MAX_LABEL_D}, the largest box this command walks")
+def _check_label_d(value: int, flag: str = "--d") -> None:
+    if value > MAX_LABEL_D:
+        raise ValueError(f"{flag} {value} is above {MAX_LABEL_D}, the largest this command accepts")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -150,49 +158,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    d_help = f"ambient dimension, at most {MAX_LABEL_D}"
     p = sub.add_parser("schur", help="representation ring operations")
     p.add_argument("operation", choices=("tensor", "dual", "sym", "ext", "dim"))
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=int, required=True, help=f"rank of the weights, at most {MAX_LABEL_D}")
     p.add_argument("--power", type=int, default=1,
                    help=f"power m for sym/ext: at most {MAX_POWER_ADDITIONS} monomial additions, m per combination")
     p.add_argument("weights", type=_weight_arg, nargs="+")
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("bwb", help="cohomology of one homogeneous bundle on G(k,d)")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q-weight", type=_weight_arg, required=True)
     p.add_argument("--k-weight", type=_weight_arg, default=None)
     p.set_defaults(func=cmd_bwb)
 
     p = sub.add_parser("wedge", help="exterior powers of the restricted normal bundle")
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--middle", action="store_true", help="wedge^2 of the middle SES term")
+    # --q defaults to None, not 1: argparse lets an explicit value equal to
+    # the default pass a mutually exclusive group unseen
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--q", type=int, default=None, help="the power q of N' (default 1)")
+    which.add_argument("--middle", action="store_true", help="wedge^2 of the middle SES term")
     p.set_defaults(func=cmd_wedge)
 
     p = sub.add_parser("check-exc", help="exceptionality of one kernel bundle")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.add_argument("--alpha", type=_weight_arg, required=True)
     p.set_defaults(func=cmd_check_exc)
 
     p = sub.add_parser("check-ff", help="fibrewise fully-faithfulness conditions")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.add_argument("--alpha", type=_weight_arg, required=True)
     p.set_defaults(func=cmd_check_ff)
 
     p = sub.add_parser("check-so", help="fibrewise semi-orthogonality conditions")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.add_argument("--alpha", type=_weight_arg, required=True)
     p.add_argument("--beta", type=_weight_arg, required=True)
     p.set_defaults(func=cmd_check_so)
 
     p = sub.add_parser("enumerate", help="list the admissible kernel labels")
-    p.add_argument("--d", type=int, required=True, help=f"ambient dimension, at most {MAX_LABEL_D}")
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.add_argument("--sos", action="store_true", help="restrict to the semi-orthogonal sequence")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("kummer", help="length of the induced exceptional sequence")
-    p.add_argument("--d", type=int, required=True, help=f"ambient dimension, at most {MAX_LABEL_D}")
+    p.add_argument("--d", type=int, required=True, help=d_help)
     p.set_defaults(func=cmd_kummer)
 
     p = sub.add_parser("verify-paper", help="run the whole verification suite")

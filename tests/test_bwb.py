@@ -10,7 +10,6 @@ from schurbott.bwb import (
     GradedCohomology,
     bwb_single,
     cohomology,
-    graded_bwb,
 )
 from schurbott.partitions import Weight, trivial
 from schurbott.rep_ring import RepElement, dual, weyl_dim
@@ -174,7 +173,7 @@ class TestCohomology:
 
     def test_zero_object(self):
         coh = cohomology(BundleExpr(5, 2, {}))
-        assert coh.is_zero() and str(coh) == "0" and coh.dimension(0) == 0
+        assert coh.is_zero() and str(coh) == "0" and coh.dimensions() == {}
 
     def test_rejects_virtual(self):
         virtual = BundleExpr(5, 2, {(trivial(3), Weight((1, 0))): -1})
@@ -187,14 +186,20 @@ class TestCohomology:
         data = g.to_json()
         assert data["dims"] == {"0": 1}
 
-    def test_graded_bwb_matches_single_and_cohomology(self):
+    def test_cohomology_matches_single_outcomes_grouped_by_degree(self):
         # zero and nonzero outcomes in several degrees, some with multiplicity
         omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
         ends = omega.tensor(omega.dual()).terms
         lines = {(trivial(3), Weight(q)): c for q, c in [((4, -2), 3), ((1, 0), 2), ((5, 5), 1)]}
         summands = list(ends.items()) + list(lines.items())
         for order in (summands, summands[::-1]):
-            coh, outcomes = graded_bwb(5, 2, order)
-            assert outcomes == [bwb_single(5, 2, g, q) for (g, q), _ in order]
-            assert coh == cohomology(BundleExpr(5, 2, dict(order)))
+            groups = {}
+            for (g, q), c in order:
+                outcome = bwb_single(5, 2, g, q)
+                if not outcome.is_zero:
+                    term = RepElement.schur(5, outcome.weight).scaled(c)
+                    groups[outcome.degree] = groups.get(outcome.degree, RepElement.zero(5)) + term
+            assert cohomology(BundleExpr(5, 2, dict(order))) == GradedCohomology(5, groups)
+        outcomes = [bwb_single(5, 2, g, q) for (g, q), _ in summands]
         assert {o.degree for o in outcomes} >= {None, 0, 1}
+        assert max(c for _, c in summands) > 1

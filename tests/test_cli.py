@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from schurbott import cli, soc
 from schurbott import rep_ring as rr
-from schurbott import soc
+from schurbott.bwb import BWBOutcome
 from schurbott.cli import MAX_LABEL_D, MAX_POWER_ADDITIONS, main
 from schurbott.partitions import Weight
 
@@ -48,6 +49,16 @@ class TestSchur:
     def test_tensor_needs_two_weights_is_usage_error(self, capsys):
         code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
         assert code == 2 and "two weights" in err
+
+    @pytest.mark.parametrize(
+        "operation, weights",
+        [("dual", ["1,0", "2,0"]), ("sym", ["1,0", "2,0"]), ("ext", ["1,0", "2,0", "0,0"]),
+         ("tensor", ["1,0", "2,0", "1,1"])],
+    )
+    def test_extra_weights_are_usage_errors(self, capsys, operation, weights):
+        code, out, err = run(capsys, "schur", operation, "--rank", "2", *weights)
+        count = "two weights" if operation == "tensor" else "one weight"
+        assert code == 2 and out == "" and f"schur {operation} needs exactly {count}" in err
 
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "schur", "dim", "--rank", "3", "2,1")
@@ -108,6 +119,17 @@ class TestWedge:
     def test_middle(self, capsys):
         code, out, _ = run(capsys, "wedge", "--middle")
         assert code == 0 and "rank 15" in out
+
+    def test_default_power_is_one(self, capsys):
+        code, out, _ = run(capsys, "wedge")
+        assert code == 0 and out.startswith("wedge^1 N' = S(2,-1)")
+
+    @pytest.mark.parametrize("q", ["1", "3"])
+    def test_middle_excludes_q(self, capsys, q):
+        with pytest.raises(SystemExit) as exc:
+            main(["wedge", "--middle", "--q", q])
+        assert exc.value.code == 2
+        assert "not allowed with argument --middle" in capsys.readouterr().err
 
 
 class TestChecks:
@@ -182,6 +204,10 @@ def computed(monkeypatch):
         (soc, "enumerate_sos", []),
         (rr, "sym_power", rr.RepElement.zero(2)),
         (rr, "ext_power", rr.RepElement.zero(2)),
+        (cli, "bwb_single", BWBOutcome(repeated_value=1)),
+        (soc, "check_exceptional", soc.VerificationReport(True, 5, Weight((0, 0)))),
+        (soc, "check_fully_faithful", soc.VerificationReport(True, 5, Weight((0, 0)))),
+        (soc, "check_semiorthogonal", soc.VerificationReport(True, 5, Weight((0, 0)))),
     ]
     for module, name, value in stubs:
         def stub(*args, name=name, value=value):
@@ -192,7 +218,18 @@ def computed(monkeypatch):
 
 
 class TestSizeGuards:
-    @pytest.mark.parametrize("command", [["kummer"], ["enumerate"], ["enumerate", "--sos"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["kummer"],
+            ["enumerate"],
+            ["enumerate", "--sos"],
+            ["bwb", "--k", "2", "--q-weight", "0,0"],
+            ["check-exc", "--alpha", "0,0"],
+            ["check-ff", "--alpha", "0,0"],
+            ["check-so", "--alpha", "1,1", "--beta", "0,0"],
+        ],
+    )
     def test_label_d_bound(self, capsys, computed, command):
         code, _, err = run(capsys, *command, "--d", str(MAX_LABEL_D + 1))
         assert code == 2 and f"above {MAX_LABEL_D}" in err and computed == []
@@ -210,12 +247,31 @@ class TestSizeGuards:
         code, _, _ = run(capsys, "schur", operation, "--rank", rank, "--power", str(largest), weight)
         assert code == 0 and computed == [f"{operation}_power"]
 
+    @pytest.mark.parametrize(
+        "operation, weights",
+        [("dim", ["0"]), ("dual", ["0"]), ("sym", ["0"]), ("ext", ["0"]), ("tensor", ["0", "0"])],
+    )
+    def test_rank_bound(self, capsys, monkeypatch, operation, weights):
+        calls = []
+
+        def schur(rank, w):
+            calls.append(rank)
+            return rr.RepElement.zero(2)
+
+        monkeypatch.setattr(rr.RepElement, "schur", schur)
+        code, _, err = run(capsys, "schur", operation, "--rank", str(MAX_LABEL_D + 1), *weights)
+        assert code == 2 and f"--rank {MAX_LABEL_D + 1} is above {MAX_LABEL_D}" in err and calls == []
+        code, _, _ = run(capsys, "schur", operation, "--rank", str(MAX_LABEL_D), *weights)
+        assert code == 0 and calls == [MAX_LABEL_D] * len(weights)
+
     def test_bounds_are_in_the_help(self, capsys):
-        for command in (["schur"], ["kummer"], ["enumerate"]):
+        for command in ("schur", "bwb", "check-exc", "check-ff", "check-so", "kummer", "enumerate"):
             with pytest.raises(SystemExit):
-                main([*command, "--help"])
-            bound = MAX_POWER_ADDITIONS if command == ["schur"] else MAX_LABEL_D
-            assert f"at most {bound}" in capsys.readouterr().out
+                main([command, "--help"])
+            out = capsys.readouterr().out
+            assert f"at most {MAX_LABEL_D}" in out
+            if command == "schur":
+                assert f"at most {MAX_POWER_ADDITIONS}" in out
 
 
 class TestVerifyPaper:

@@ -4,9 +4,12 @@ from math import comb
 
 import pytest
 
+from schurbott.bundle_calculus import wedge_nprime
+from schurbott.bwb import BundleExpr, cohomology
 from schurbott.partitions import Weight, precedes, sort_key
 from schurbott.rep_ring import RepElement, dual, tensor
 from schurbott.soc import (
+    box_partitions,
     check_cotangent_simple,
     check_exceptional,
     check_fully_faithful,
@@ -202,3 +205,56 @@ class TestCotangentSimple:
             check_cotangent_simple(0, 5)
         with pytest.raises(ValueError):
             check_cotangent_simple(5, 5)
+
+
+def graded(d, ext, top_q):
+    """H^*(wedge^q N' (x) ext) on G(2,d) for q = 0..top_q, grouped by degree."""
+    return [
+        cohomology(BundleExpr.from_qdual(d, 2, tensor(wedge_nprime(q), ext)))
+        for q in range(top_q + 1)
+    ]
+
+
+class TestVerdictsMatchGradedCohomology:
+    """Verdicts read from the witness trace agree with the degree-graded rule."""
+
+    def test_exceptional_and_fully_faithful(self):
+        verdicts = set()
+        for d in range(5, 10):
+            for a in box_partitions(d):
+                coh0, *twisted = graded(d, ext_decomposition(a, a), 4)
+                exceptional = coh0.dimensions() == {0: 1}
+                hom = coh0.dimensions().get(0, 0)
+                ff = exceptional and all(coh.is_zero() for coh in twisted)
+                report = check_exceptional(a, d)
+                assert (report.verdict, report.hom_dimension) == (exceptional, hom), (d, a)
+                report = check_fully_faithful(a, d)
+                assert (report.verdict, report.hom_dimension) == (ff, hom), (d, a)
+                verdicts.add(ff)
+        assert verdicts == {True, False}
+
+    def test_semiorthogonal(self):
+        verdicts = set()
+        for d in range(5, 9):
+            labels = box_partitions(d)
+            for i, a in enumerate(labels):
+                for b in labels[i + 1 :]:
+                    expected = all(coh.is_zero() for coh in graded(d, ext_decomposition(a, b), 4))
+                    report = check_semiorthogonal(a, b, d)
+                    assert (report.verdict, report.hom_dimension) == (expected, 0), (d, a, b)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_cotangent(self):
+        for d in range(2, 9):
+            for k in range(1, d):
+                gamma = Weight((1,) + (0,) * (d - k - 1))
+                omega = BundleExpr(d, k, {(gamma, Weight((1,) + (0,) * (k - 1))): 1})
+                coh = cohomology(omega.tensor(omega.dual()))
+                hom = coh.dimensions().get(0, 0)
+                expected = hom == 1
+                if 2 <= k <= d - 2:
+                    adjoint = RepElement.schur(d, (1,) + (0,) * (d - 2) + (-1,))
+                    expected = expected and coh.groups == {0: RepElement.one(d), 1: adjoint}
+                report = check_cotangent_simple(k, d)
+                assert (report.verdict, report.hom_dimension) == (expected, hom), (k, d)
