@@ -23,8 +23,8 @@ from .partitions import Weight, parse_weight, trivial
 #: of the weight monomials: about 1 s of work.
 MAX_POWER_ADDITIONS = 500_000
 #: Largest --d of `bwb`, `check-*`, `enumerate` and `kummer`, and largest
-#: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus about
-#: 0.7 s per Weyl dimension a check reports at that size.
+#: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus
+#: 0.01-0.05 s per Weyl dimension a check reports at that size.
 MAX_LABEL_D = 400
 
 

@@ -2,7 +2,9 @@
 
 Products at rank 2 are the Clebsch-Gordan closed form; at every other rank
 they are computed by the Littlewood-Richardson rule (negative entries are
-routed through a determinant shift).  ``lr_tensor`` runs the
+routed through a determinant shift), which builds only LR tableaux: each
+letter is placed as a horizontal strip bounded row by row by the previous
+letter, so the lattice condition prunes as it places.  ``lr_tensor`` runs the
 Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
 the closed form is checked against.  Symmetric/exterior powers and general
 plethysms go through an independent character-polynomial oracle: expand
@@ -30,13 +32,19 @@ def weyl_dim(w: Weight) -> int:
     """Dimension of the irreducible GL_r representation of highest weight w.
 
     Weyl dimension formula: prod over i<j of (w_i - w_j + j - i)/(j - i).
+    Equal entries give factors of 1, so each row i multiplies integers over
+    the j with w_j != w_i and joins the product as one fraction.
     """
     e = w.entries
     r = len(e)
     value = Fraction(1)
     for i in range(r):
+        num = den = 1
         for j in range(i + 1, r):
-            value *= Fraction(e[i] - e[j] + j - i, j - i)
+            if e[i] != e[j]:
+                num *= e[i] - e[j] + j - i
+                den *= j - i
+        value *= Fraction(num, den)
     if value.denominator != 1:
         raise ArithmeticError(f"Weyl dimension of {w} is not an integer: {value}")
     return int(value)
@@ -46,39 +54,37 @@ def weyl_dim(w: Weight) -> int:
 # Littlewood-Richardson multiplication
 # ---------------------------------------------------------------------------
 
-def _horizontal_strips(shape: tuple[int, ...], m: int, max_rows: int) -> Iterator[tuple[int, ...]]:
-    """All shapes obtained from ``shape`` by adding m boxes, no two in a column.
+def _lattice_strips(
+    shape: tuple[int, ...], m: int, above: tuple[int, ...] | None, max_rows: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Ways to add m boxes of the next letter to ``shape`` that keep an LR tableau.
 
-    A strip can open at most one new row; shapes longer than max_rows are
-    pruned (they die as GL_{max_rows} representations anyway).
+    Yields (new shape, boxes added per row).  The boxes form a horizontal
+    strip, with at most max_rows rows.  ``above`` is the previous letter's
+    count per row, None for letter 1.  A row's letters weakly increase, so
+    the reverse reading word meets a row's new letters before its previous
+    ones: it stays a lattice word exactly when, for every row r, the new
+    letters in rows <= r never outnumber the previous letter's in rows < r.
     """
     base = list(shape) + ([0] if len(shape) < max_rows else [])
-    n = len(base)
+    counts = [0] * len(base)
 
-    def rec(j: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == n:
-            if remaining == 0:
-                yield _stripped(acc)
+    def rec(j: int, remaining: int, room: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if remaining == 0:
+            yield _stripped([b + c for b, c in zip(base, counts)]), tuple(counts)
             return
+        if j == len(base):
+            return
+        if above is not None and j:
+            room += above[j - 1]
         # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
         upper = remaining if j == 0 else base[j - 1] - base[j]
-        for add in range(min(upper, remaining) + 1):
-            acc.append(base[j] + add)
-            yield from rec(j + 1, remaining - add, acc)
-            acc.pop()
+        for add in range(min(upper, remaining, room) + 1):
+            counts[j] = add
+            yield from rec(j + 1, remaining - add, room - add)
+        counts[j] = 0
 
-    yield from rec(0, m, [])
-
-
-def _is_ballot(rows: list[list[int]], n_letters: int) -> bool:
-    """Reverse reading word condition: every prefix has #i >= #(i+1)."""
-    counts = [0] * (n_letters + 1)
-    for row in rows:
-        for letter in reversed(row):
-            counts[letter] += 1
-            if letter > 1 and counts[letter] > counts[letter - 1]:
-                return False
-    return True
+    yield from rec(0, m, m if above is None else 0)
 
 
 @lru_cache(maxsize=None)
@@ -87,33 +93,23 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
 
     Both inputs are partitions without trailing zeros.  Returns pairs
     (nu, N_{alpha beta nu}); shapes with more than max_rows rows are dropped
-    (they vanish as GL_{max_rows} representations).
+    (they vanish as GL_{max_rows} representations).  Letters 1..len(beta)
+    are placed one strip at a time by ``_lattice_strips``, each bounded by
+    the previous letter's rows, so every complete placement is one LR
+    tableau of shape nu/alpha and content beta.
     """
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha  # symmetric; iterate over the smaller factor
     results: Counter[tuple[int, ...]] = Counter()
-    n_letters = len(beta)
 
-    def place(letter: int, shape: tuple[int, ...], rows: list[list[int]]) -> None:
-        if letter > n_letters:
-            if _is_ballot(rows, n_letters):
-                results[shape] += 1
+    def place(i: int, shape: tuple[int, ...], above: tuple[int, ...] | None) -> None:
+        if i == len(beta):
+            results[shape] += 1
             return
-        for new_shape in _horizontal_strips(shape, beta[letter - 1], max_rows):
-            added = [
-                new_shape[j] - (shape[j] if j < len(shape) else 0)
-                for j in range(len(new_shape))
-            ]
-            for j, a in enumerate(added):
-                while len(rows) <= j:
-                    rows.append([])
-                rows[j].extend([letter] * a)
-            place(letter + 1, new_shape, rows)
-            for j, a in enumerate(added):
-                if a:
-                    del rows[j][-a:]
+        for new_shape, counts in _lattice_strips(shape, beta[i], above, max_rows):
+            place(i + 1, new_shape, counts)
 
-    place(1, alpha, [])
+    place(0, alpha, None)
     return tuple(sorted(results.items()))
 
 

@@ -8,7 +8,7 @@ check is a strict equality with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator
 
@@ -173,29 +173,14 @@ def check_cotangent(d_max: int) -> CheckResult:
     return CheckResult("cotangent-simplicity", True, f"{total} Grassmannians, d <= {top}")
 
 
-def _partitions_up_to(n_max: int, rows: int) -> list[tuple[int, ...]]:
-    out = [()]
-    def rec(prefix: list[int], remaining_rows: int, cap: int):
-        if remaining_rows == 0:
-            return
-        for v in range(1, cap + 1):
-            if sum(prefix) + v > n_max:
-                break
-            prefix.append(v)
-            out.append(tuple(prefix))
-            rec(prefix, remaining_rows - 1, v)
-            prefix.pop()
-    rec([], rows, n_max)
-    return out
-
-
 def check_oracle_equivalence(d_max: int) -> CheckResult:
     del d_max
     rank = 3
     elements = []
-    for shape in _partitions_up_to(6, rank):
-        a = rr.RepElement.schur(rank, shape + (0,) * (rank - len(shape)))
-        elements.append((shape, a, rr.char_of(a)))
+    for shape in product(range(7), repeat=rank):
+        if shape[0] >= shape[1] >= shape[2] and sum(shape) <= 6:
+            a = rr.RepElement.schur(rank, shape)
+            elements.append((shape, a, rr.char_of(a)))
     pairs = 0
     for pa, a, ca in elements:
         for pb, b, cb in elements:

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,14 @@ class TestWeylDim:
         w = weight(3, 1, -2)
         assert weyl_dim(w) == weyl_dim(weight(2, -1, -3))
 
+    @pytest.mark.parametrize("n", [*range(2, 12), 400])
+    def test_closed_forms(self, n):
+        a = 398
+        zeros = (0,) * (n - 2)
+        assert weyl_dim(Weight((1, *zeros, -1))) == n * n - 1
+        assert weyl_dim(Weight((a, *zeros, 0))) == comb(n + a - 1, a)
+        assert weyl_dim(Weight((a, *zeros, -1))) == n * comb(n + a - 1, a) - comb(n + a - 2, a - 1)
+
     def test_matches_character_count(self):
         for p in [(1,), (2,), (2, 1), (3, 1), (2, 2)]:
             padded = p + (0,) * (3 - len(p))
@@ -72,8 +81,28 @@ class TestWeylDim:
 
 class TestLR:
     def test_symmetry(self):
-        for a, b in itertools.product(partitions_of(3, 3), partitions_of(2, 3)):
-            assert lr_coefficients(a, b, 4) == lr_coefficients(b, a, 4)
+        # equal sizes, so neither call swaps its factors: two different fillings
+        for n in (4, 5):
+            for a, b in itertools.product(partitions_of(n, 4), repeat=2):
+                for max_rows in (4, 5, 6):
+                    assert lr_coefficients(a, b, max_rows) == lr_coefficients(b, a, max_rows), (a, b)
+
+    def test_lr_matches_character_oracle(self):
+        for rank in (1, 2, 3, 4):
+            shapes = [p for n in range(6) for p in partitions_of(n, rank)]
+            for a, b in itertools.product(shapes, repeat=2):
+                x = S(rank, *a + (0,) * (rank - len(a)))
+                y = S(rank, *b + (0,) * (rank - len(b)))
+                assert lr_tensor(x, y) == decompose(char_of(x) * char_of(y)), (rank, a, b)
+
+    def test_lattice_golden(self):
+        # s21 * s21 = s42 + s411 + s33 + 2 s321 + s3111 + s222 + s2211
+        full = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
+        for rank in (3, 4):
+            expected = RepElement(
+                rank, {Weight(nu + (0,) * (rank - len(nu))): c for nu, c in full.items() if len(nu) <= rank}
+            )
+            assert lr_tensor(S(rank, 2, 1), S(rank, 2, 1)) == expected
 
     def test_pieri_symmetric_golden(self):
         result = tensor(S(3, 2, 1, 0), S(3, 2, 0, 0))
@@ -323,8 +352,6 @@ class TestPlethysm:
             assert sym_power(total, m) == expected
 
     def test_binomial_dimensions(self):
-        from math import comb
-
         x = S(3, 2, 1, 0)  # dimension 8
         for m in range(4):
             assert ext_power(x, m).dimension() == comb(8, m)
