@@ -19,9 +19,11 @@ from . import soc, verify
 from .bwb import bwb_single
 from .partitions import Weight, parse_weight, trivial
 
-#: Most monomial additions `schur sym|ext --power m` makes, m per combination
-#: of the weight monomials: about 1 s of work.
-MAX_POWER_ADDITIONS = 500_000
+#: Most integer additions `schur sym|ext --power m` makes: each combination of
+#: m weight monomials adds m exponent vectors of length rank.  Near the bound
+#: that is measured at 0.1-0.7 s from rank 2 to 100, and at 1.2 s where
+#: decomposing the result dominates (one long row at rank 2, m = 2).
+MAX_POWER_ADDITIONS = 1_000_000
 #: Largest --d of `bwb`, `check-*`, `enumerate` and `kummer`, and largest
 #: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus
 #: 0.01-0.05 s per Weyl dimension a check reports at that size.
@@ -56,10 +58,11 @@ def cmd_schur(args: argparse.Namespace) -> int:
         m = args.power
         if m > 0:
             dim = elements[0].dimension()
-            additions = m * (comb(dim + m - 1, m) if args.operation == "sym" else comb(dim, m))
+            combos = comb(dim + m - 1, m) if args.operation == "sym" else comb(dim, m)
+            additions = args.rank * m * combos
             if additions > MAX_POWER_ADDITIONS:
                 raise ValueError(
-                    f"{args.operation}^{m} of dimension {dim} needs {additions} monomial additions, over {MAX_POWER_ADDITIONS}"
+                    f"{args.operation}^{m} of dimension {dim} at rank {args.rank} needs {additions} additions, over {MAX_POWER_ADDITIONS}"
                 )
         result = (rr.sym_power if args.operation == "sym" else rr.ext_power)(elements[0], m)
     else:  # dim
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation", choices=("tensor", "dual", "sym", "ext", "dim"))
     p.add_argument("--rank", type=int, required=True, help=f"rank of the weights, at most {MAX_LABEL_D}")
     p.add_argument("--power", type=int, default=1,
-                   help=f"power m for sym/ext: at most {MAX_POWER_ADDITIONS} monomial additions, m per combination")
+                   help=f"power m for sym/ext: at most {MAX_POWER_ADDITIONS} additions, rank x m per combination")
     p.add_argument("weights", type=_weight_arg, nargs="+")
     p.set_defaults(func=cmd_schur)
 

@@ -9,12 +9,16 @@ Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
 the closed form is checked against.  Symmetric/exterior powers and general
 plethysms go through an independent character-polynomial oracle: expand
 into a multiset of weight monomials, apply the elementary or complete
-symmetric function, and peel the result back into Schur terms.
+symmetric function, and peel the result back into Schur terms.  A character
+stores its coefficients as a sorted tuple of (exponent vector, coefficient)
+pairs; ``schur_char`` builds each weight's character once and hands out the
+same object on every later call, so characters are never mutated.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,9 +289,12 @@ def dual(a: RepElement) -> RepElement:
 class CharPoly:
     """Symmetric integer Laurent polynomial in ``rank`` variables.
 
-    Stored as exponent-vector -> coefficient; the exponent vectors are the
-    weights of the representation, so symmetry under permuting the
-    variables is automatic for genuine characters.
+    ``coeffs`` is a tuple of (exponent vector, coefficient) pairs, sorted by
+    exponent vector, with no zero coefficient, so two equal polynomials have
+    equal ``coeffs``.  The exponent vectors are the weights of the
+    representation, so symmetry under permuting the variables is automatic
+    for genuine characters.  ``schur_char`` memoises one instance per weight
+    and shares it, so an instance is never mutated.
     """
 
     rank: int
@@ -300,10 +307,12 @@ class CharPoly:
     def __mul__(self, other: "CharPoly") -> "CharPoly":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out: Counter[tuple[int, ...]] = Counter()
+        out: dict[tuple[int, ...], int] = {}
+        get, add = out.get, operator.add
         for ea, ca in self.coeffs:
             for eb, cb in other.coeffs:
-                out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
         return CharPoly.from_counter(self.rank, out)
 
     def monomials(self) -> list[tuple[int, ...]]:
@@ -316,67 +325,89 @@ class CharPoly:
         return out
 
 
-def _row_fillings(length: int, above: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing rows of letters 1..rank, each larger than the letter above it, in lex order.
+def _row_fillings(
+    length: int, below: tuple[int, ...] | None, first: int, rank: int
+) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing rows of letters first+1..rank, each smaller than the letter below it.
 
-    Iterative (one odometer step per row, not one call per box), so a row of
-    any length fills without deepening the stack.
+    Yields each row as its count of every letter.  Columns strictly increase
+    exactly when, for every v, the row has at least as many letters <= v as
+    the row below (counts ``below``, None for the bottom row) has letters
+    <= v+1.  These are lower bounds only, so every choice that meets them so
+    far completes, and the letters from first+1 on leave room for the rows
+    above.  The row is placed as runs of equal letters, one generator level
+    per run, so a row costs its distinct letters, not its length.
     """
-    lo = [above[j] + 1 if j < len(above) else 1 for j in range(length)]
-    if lo[-1] > rank:
-        return
-    row = lo[:]
-    while True:
-        yield tuple(row)
-        j = length - 1
-        while j >= 0 and row[j] == rank:
-            j -= 1
-        if j < 0:
-            return
-        v = row[j] = row[j] + 1
-        row[j + 1 :] = [max(v, b) for b in lo[j + 1 :]]
+    last = rank - 1
+    # floor[v]: the least count of letters <= v (0-based) in this row, which
+    # is the row below's count of letters <= v + 1
+    floor = [0] * last if below is None else list(itertools.accumulate(below))[1:]
+    row = [0] * rank
+
+    def runs(v: int, placed: int) -> Iterator[tuple[int, ...]]:
+        for u in range(v, last):
+            if u > v and floor[u - 1] > placed:
+                return  # letters v..u-1 cannot all stay empty, nor can later ones
+            for c in range(max(1, floor[u] - placed), length - placed + 1):
+                row[u] = c
+                if placed + c == length:
+                    yield tuple(row)
+                else:
+                    yield from runs(u + 1, placed + c)
+            row[u] = 0
+        if v == last or floor[last - 1] <= placed:
+            row[last] = length - placed
+            yield tuple(row)
+            row[last] = 0
+
+    yield from runs(first, 0)
 
 
-@lru_cache(maxsize=None)
 def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Weight multiset of s_shape(x_1..x_rank) via semistandard tableaux."""
+    """Weight multiset of s_shape(x_1..x_rank) via semistandard tableaux, filled from the bottom row up."""
     rows = [r for r in shape if r > 0]
     if len(rows) > rank:
         return ()
     if not rows:
         return (((0,) * rank, 1),)
-    counts: Counter[tuple[int, ...]] = Counter()
+    counts: dict[tuple[int, ...], int] = {}
+    get, add = counts.get, operator.add
 
-    def rows_iter(i: int, above: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(rows):
-            yield ()
-            return
-        for row in _row_fillings(rows[i], above, rank):
-            for rest in rows_iter(i + 1, row):
-                yield (row,) + rest
+    def fill(i: int, below: tuple[int, ...] | None, content: tuple[int, ...]) -> None:
+        fillings = _row_fillings(rows[i], below, i, rank)
+        if i == 0:
+            for row in fillings:
+                e = tuple(map(add, content, row))
+                counts[e] = get(e, 0) + 1
+        else:
+            for row in fillings:
+                fill(i - 1, row, tuple(map(add, content, row)))
 
-    for tab in rows_iter(0, ()):
-        content = [0] * rank
-        for row in tab:
-            for v in row:
-                content[v - 1] += 1
-        counts[tuple(content)] += 1
+    fill(len(rows) - 1, None, (0,) * rank)
     return tuple(sorted(counts.items()))
 
 
+@lru_cache(maxsize=None)
 def schur_char(w: Weight) -> CharPoly:
-    """Character of Sigma^w as a Laurent polynomial (determinant shift for negatives)."""
+    """Character of Sigma^w as a Laurent polynomial (determinant shift for negatives).
+
+    Memoised per weight; callers share the returned object.  Subtracting m
+    from every exponent keeps the monomials sorted and their coefficients
+    nonzero, so the shifted tuple is stored as it is.
+    """
     shape, m = _partition_shift(w)
     mons = _schur_monomials(shape, w.rank)
-    shifted = {tuple(x - m for x in e): c for e, c in mons}
-    return CharPoly.from_counter(w.rank, shifted)
+    if m:
+        mons = tuple((tuple(x - m for x in e), c) for e, c in mons)
+    return CharPoly(w.rank, mons)
 
 
 def char_of(a: RepElement) -> CharPoly:
-    out: Counter[tuple[int, ...]] = Counter()
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
     for w, c in a.terms.items():
         for e, mult in schur_char(w).coeffs:
-            out[e] += c * mult
+            out[e] = get(e, 0) + c * mult
     return CharPoly.from_counter(a.rank, out)
 
 

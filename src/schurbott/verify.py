@@ -182,11 +182,15 @@ def check_oracle_equivalence(d_max: int) -> CheckResult:
             a = rr.RepElement.schur(rank, shape)
             elements.append((shape, a, rr.char_of(a)))
     pairs = 0
-    for pa, a, ca in elements:
-        for pb, b, cb in elements:
-            if rr.char_of(rr.tensor(a, b)).coeffs != (ca * cb).coeffs:
-                return CheckResult("oracle-equivalence", False, f"LR vs character at {pa} x {pb}")
-            pairs += 1
+    # one character product per unordered pair, checked against both LR orders
+    for i, (pa, a, ca) in enumerate(elements):
+        for pb, b, cb in elements[i:]:
+            expected = (ca * cb).coeffs
+            orders = [(pa, a, pb, b)] if pa == pb else [(pa, a, pb, b), (pb, b, pa, a)]
+            for px, x, py, y in orders:
+                if rr.char_of(rr.tensor(x, y)).coeffs != expected:
+                    return CheckResult("oracle-equivalence", False, f"LR vs character at {px} x {py}")
+                pairs += 1
     # Bott's formula on projective spaces of quotients (k = 1)
     for d in range(2, 7):
         n = d - 1  # dimension of the projective space

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schurbott
 from schurbott import cli, soc
 from schurbott import rep_ring as rr
 from schurbott.bwb import BWBOutcome
@@ -238,10 +243,11 @@ class TestSizeGuards:
 
     @pytest.mark.parametrize(
         "operation, rank, weight, largest",
-        [("sym", "2", "1,0", 706), ("ext", "3", "6,0,0", 5)],
+        [("sym", "2", "1,0", 706), ("ext", "3", "6,0,0", 4), ("sym", "400", "1", 1)],
     )
     def test_power_bound(self, capsys, computed, operation, rank, weight, largest):
-        # sym^706 of S(1,0) makes 706 * 707 additions, ext^5 of S(6,0,0) 5 * comb(28, 5)
+        # rank x m x combinations: sym^706 of S(1,0) makes 2 * 706 * 707 additions,
+        # ext^4 of S(6,0,0) 3 * 4 * comb(28, 4), sym^1 of S(1) at rank 400 400 * 1 * 400
         code, _, err = run(capsys, "schur", operation, "--rank", rank, "--power", str(largest + 1), weight)
         assert code == 2 and f"over {MAX_POWER_ADDITIONS}" in err and computed == []
         code, _, _ = run(capsys, "schur", operation, "--rank", rank, "--power", str(largest), weight)
@@ -272,6 +278,19 @@ class TestSizeGuards:
             assert f"at most {MAX_LABEL_D}" in out
             if command == "schur":
                 assert f"at most {MAX_POWER_ADDITIONS}" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        # the package's own source directory first, so no install is needed
+        src = str(Path(schurbott.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurbott", "--format", "json", "verify-paper", "--d-max", "5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [r["verdict"] for r in json.loads(proc.stdout)] == ["pass"] * 10
 
 
 class TestVerifyPaper:

@@ -52,6 +52,13 @@ small_partition = st.lists(
 ).map(lambda xs: tuple(sorted(xs, reverse=True)))
 
 
+def assert_canonical(char):
+    """Exponent vectors strictly increasing (sorted, no repeats) and no zero coefficient."""
+    exponents = [e for e, _ in char.coeffs]
+    assert exponents == sorted(set(exponents))
+    assert all(c != 0 for _, c in char.coeffs)
+
+
 class TestWeylDim:
     def test_standard_reps(self):
         assert weyl_dim(weight(1, 0, 0)) == 3
@@ -77,6 +84,34 @@ class TestWeylDim:
             padded = p + (0,) * (3 - len(p))
             char = schur_char(Weight(padded))
             assert sum(c for _, c in char.coeffs) == weyl_dim(Weight(padded))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_shifted_character(self, rank):
+        # entries in [-2, 2]: a negative last entry takes the determinant shift
+        for entries in itertools.product(range(2, -3, -1), repeat=rank):
+            if list(entries) != sorted(entries, reverse=True):
+                continue
+            char = schur_char(Weight(entries))
+            assert_canonical(char)
+            assert sum(c for _, c in char.coeffs) == weyl_dim(Weight(entries))
+            m = -min(0, entries[-1])
+            if m:
+                unshifted = schur_char(Weight(tuple(e + m for e in entries)))
+                assert char.coeffs == tuple((tuple(x - m for x in e), c) for e, c in unshifted.coeffs)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_cancelling_product(self, rank):
+        # (p - 1)(p + 1) = p^2 - 1 for p = x_1 + ... + x_rank and for its dual:
+        # the degree +-1 terms cancel and must not be stored as zeros
+        std, one = S(rank, 1), RepElement.one(rank)
+        for a in (std, dual(std)):
+            x, y = a - one, a + one
+            product = char_of(x) * char_of(y)
+            assert_canonical(product)
+            assert {abs(sum(e)) for e, _ in product.coeffs} == {0, 2}
+            assert sum(c for _, c in product.coeffs) == x.dimension() * y.dimension()
+            assert product.coeffs == char_of(tensor(x, y)).coeffs
+
 
 
 class TestLR:
@@ -233,6 +268,19 @@ class TestCharacterOracle:
             for a, b in itertools.product(weights, repeat=2):
                 x, y = S(rank, *a), S(rank, *b)
                 assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
+
+    @pytest.mark.parametrize("k", [1, 5, 24])
+    def test_column_characters(self, k):
+        # S(1^k) at rank k + 1 is e_k: every exponent vector with one 0.  A
+        # filling that does not look ahead tries about 2^(k+1) columns here.
+        char = schur_char(Weight((1,) * k + (0,)))
+        expected = sorted(tuple(int(i != j) for i in range(k + 1)) for j in range(k + 1))
+        assert char.coeffs == tuple((e, 1) for e in expected)
+
+    @pytest.mark.parametrize("length", [1, 50, 2000])
+    def test_row_characters(self, length):
+        char = schur_char(Weight((length, 0)))
+        assert char.coeffs == tuple(((i, length - i), 1) for i in range(length + 1))
 
     def test_decompose_inverts_char(self):
         x = S(3, 3, 1, 0) + S(3, 2, 2, 2).scaled(2)

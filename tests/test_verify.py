@@ -1,4 +1,7 @@
+import pytest
+
 from schurbott import bundle_calculus as bc
+from schurbott import rep_ring as rr
 from schurbott import soc, verify
 from schurbott.rep_ring import RepElement
 
@@ -25,3 +28,20 @@ def test_normal_bundle_fails_on_a_wrong_wedge_with_the_right_rank(monkeypatch):
     monkeypatch.setattr(bc, "wedge_nprime", lambda q: wrong if q == 2 else wedge(q))
     result = verify.check_normal_bundle(12)
     assert not result.passed and result.detail == "mismatch"
+
+
+@pytest.mark.parametrize("wrong", [((1, 0, 0), (2, 1, 0)), ((2, 1, 0), (1, 0, 0))])
+def test_oracle_equivalence_fails_on_one_wrong_ordered_product(monkeypatch, wrong):
+    # the character product is shared by both orders of a pair, so a product
+    # wrong in only one order, first or second, must still be caught
+    assert verify.check_oracle_equivalence(12).passed
+    tensor = rr.tensor
+    x, y = (RepElement.schur(3, p) for p in wrong)
+
+    def off_by_one(a, b):
+        return tensor(a, b) + (RepElement.one(3) if (a, b) == (x, y) else RepElement.zero(3))
+
+    monkeypatch.setattr(rr, "tensor", off_by_one)
+    result = verify.check_oracle_equivalence(12)
+    assert not result.passed
+    assert result.detail == f"LR vs character at {wrong[0]} x {wrong[1]}"
