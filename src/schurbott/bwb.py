@@ -7,11 +7,15 @@ with the unique permutation sigma puts the cohomology of the bundle in the
 single degree l(sigma) where it equals the irreducible of highest weight
 sigma(alpha+rho)-rho, viewed as a Schur functor of the dual ambient space.
 
-When the K-part is trivial its dotted values are exactly k+1..d, and the
-Q-part's dotted values delta_i + k - i strictly decrease, so the bundle's
-cohomology vanishes iff some delta_i + k - i lies in k+1..d; the first such
-value is the repeat.  ``bwb_single`` reads that off the Q-part alone and
-runs the full dotted action only for the other bundles.
+Within each part the dotted values strictly decrease: gamma_i + d - i for
+the K-part and delta_i + k - i for the Q-part (0-based i).  So the only
+repeats are values shared by the two parts, and reading the d-tuple left to
+right meets the largest of them first; with no repeat, the degree is the
+number of (K, Q) pairs whose K value is the smaller.  ``bwb_single`` reads
+both off the two parts without building the d-tuple.  The trivial-K
+vanishing rule is its special case: a trivial K-part's values are exactly
+k+1..d, so the bundle's cohomology vanishes iff some delta_i + k - i lies in
+that interval, and ``bwb_single`` checks that first, from the Q-part alone.
 """
 
 from __future__ import annotations
@@ -75,22 +79,17 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
         for i, e in enumerate(q.entries):
             if k < e + k - i <= d:
                 return BWBOutcome(repeated_value=e + k - i)
-    alpha = g.entries + q.entries
-    rho = tuple(range(d, 0, -1))
-    dotted = [a + r for a, r in zip(alpha, rho)]
-    seen: set[int] = set()
-    for v in dotted:
-        if v in seen:
+    # the repeat rule of the module docstring
+    k_values = [e + d - i for i, e in enumerate(g.entries)]
+    q_values = [e + k - i for i, e in enumerate(q.entries)]
+    found = set(k_values)
+    for v in q_values:
+        if v in found:
             return BWBOutcome(repeated_value=v)
-        seen.add(v)
-    inversions = sum(
-        1
-        for i in range(d)
-        for j in range(i + 1, d)
-        if dotted[i] < dotted[j]
-    )
-    beta = tuple(v - r for v, r in zip(sorted(dotted, reverse=True), rho))
-    return BWBOutcome(degree=inversions, weight=Weight(beta))
+    degree = sum(1 for a in k_values for b in q_values if a < b)
+    rho = range(d, 0, -1)
+    beta = tuple(v - r for v, r in zip(sorted(k_values + q_values, reverse=True), rho))
+    return BWBOutcome(degree=degree, weight=Weight(beta))
 
 
 @dataclass

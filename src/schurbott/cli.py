@@ -95,12 +95,16 @@ def cmd_wedge(args: argparse.Namespace) -> int:
 
 
 def _report_exit(args: argparse.Namespace, report: soc.VerificationReport) -> int:
-    verdict = "pass" if report.verdict else "fail"
-    lines = [f"{report.kind}: {verdict} (Hom dimension {report.hom_dimension})"]
-    for c in report.failures():
-        summand = "(" + ",".join(str(e) for e in c.weight) + ")"
-        lines.append(f"  q={c.q} summand {summand}: {c.outcome}")
-    _emit(args, "\n".join(lines), report.to_json())
+    # each surviving summand's JSON carries its Weyl dimension, so the
+    # payload is built only when it is printed
+    if args.format == "json":
+        print(json.dumps(report.to_json(), sort_keys=True))
+    else:
+        verdict = "pass" if report.verdict else "fail"
+        print(f"{report.kind}: {verdict} (Hom dimension {report.hom_dimension})")
+        for c in report.failures():
+            summand = "(" + ",".join(str(e) for e in c.weight) + ")"
+            print(f"  q={c.q} summand {summand}: {c.outcome}")
     return 0 if report.verdict else 1
 
 

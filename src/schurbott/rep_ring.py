@@ -4,7 +4,9 @@ Products at rank 2 are the Clebsch-Gordan closed form; at every other rank
 they are computed by the Littlewood-Richardson rule (negative entries are
 routed through a determinant shift), which builds only LR tableaux: each
 letter is placed as a horizontal strip bounded row by row by the previous
-letter, so the lattice condition prunes as it places.  ``lr_tensor`` runs the
+letter, so the lattice condition prunes as it places.  A smaller factor
+that is taller than it is wide is multiplied through its conjugate, which
+has fewer letters to place.  ``lr_tensor`` runs the
 Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
 the closed form is checked against.  Symmetric/exterior powers and general
 plethysms go through an independent character-polynomial oracle: expand
@@ -12,7 +14,8 @@ into a multiset of weight monomials, apply the elementary or complete
 symmetric function, and peel the result back into Schur terms.  A character
 stores its coefficients as a sorted tuple of (exponent vector, coefficient)
 pairs; ``schur_char`` builds each weight's character once and hands out the
-same object on every later call, so characters are never mutated.
+same object on every later call, so characters are never mutated.  Weyl
+dimensions are exact integer products, reduced row by row.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, Mapping
 
 from .partitions import Weight, _stripped, trivial
@@ -37,58 +40,80 @@ def weyl_dim(w: Weight) -> int:
 
     Weyl dimension formula: prod over i<j of (w_i - w_j + j - i)/(j - i).
     Equal entries give factors of 1, so each row i multiplies integers over
-    the j with w_j != w_i and joins the product as one fraction.
+    the j with w_j != w_i.  Each row's quotient is reduced by its gcd and
+    cross-reduced against the running numerator and denominator before it
+    joins them (how ``Fraction`` multiplies, without building one per row),
+    so the running values stay as small as the partial products allow.
     """
     e = w.entries
     r = len(e)
-    value = Fraction(1)
+    num = den = 1
     for i in range(r):
-        num = den = 1
+        n = dn = 1
         for j in range(i + 1, r):
             if e[i] != e[j]:
-                num *= e[i] - e[j] + j - i
-                den *= j - i
-        value *= Fraction(num, den)
-    if value.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension of {w} is not an integer: {value}")
-    return int(value)
+                n *= e[i] - e[j] + j - i
+                dn *= j - i
+        g = gcd(n, dn)
+        n, dn = n // g, dn // g
+        g1, g2 = gcd(num, dn), gcd(n, den)
+        num = (num // g1) * (n // g2)
+        den = (den // g2) * (dn // g1)
+    if den != 1:
+        raise ArithmeticError(f"Weyl dimension of {w} is not an integer: {num}/{den}")
+    return num
 
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson multiplication
 # ---------------------------------------------------------------------------
 
+def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate partition (column lengths) of a partition without trailing zeros."""
+    out = []
+    n = len(p)
+    for j in range(p[0] if p else 0):
+        while p[n - 1] <= j:
+            n -= 1
+        out.append(n)
+    return tuple(out)
+
+
 def _lattice_strips(
-    shape: tuple[int, ...], m: int, above: tuple[int, ...] | None, max_rows: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    shape: tuple[int, ...], m: int, above: tuple[int, ...] | None, max_rows: int, width: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Ways to add m boxes of the next letter to ``shape`` that keep an LR tableau.
 
-    Yields (new shape, boxes added per row).  The boxes form a horizontal
-    strip, with at most max_rows rows.  ``above`` is the previous letter's
-    count per row, None for letter 1.  A row's letters weakly increase, so
-    the reverse reading word meets a row's new letters before its previous
-    ones: it stays a lattice word exactly when, for every row r, the new
-    letters in rows <= r never outnumber the previous letter's in rows < r.
+    Returns (new shape, boxes added per row) pairs.  The boxes form a
+    horizontal strip, with at most max_rows rows and at most ``width`` boxes
+    in the first row.  ``above`` is the previous letter's count per row, None
+    for letter 1.  A row's letters weakly increase, so the reverse reading
+    word meets a row's new letters before its previous ones: it stays a
+    lattice word exactly when, for every row r, the new letters in rows <= r
+    never outnumber the previous letter's in rows < r.
     """
     base = list(shape) + ([0] if len(shape) < max_rows else [])
-    counts = [0] * len(base)
+    last = len(base)
+    counts = [0] * last
+    out = []
 
-    def rec(j: int, remaining: int, room: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def rec(j: int, remaining: int, room: int) -> None:
         if remaining == 0:
-            yield _stripped([b + c for b, c in zip(base, counts)]), tuple(counts)
+            out.append((_stripped([b + c for b, c in zip(base, counts)]), tuple(counts)))
             return
-        if j == len(base):
+        if j == last:
             return
         if above is not None and j:
             room += above[j - 1]
         # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
-        upper = remaining if j == 0 else base[j - 1] - base[j]
+        upper = width - base[0] if j == 0 else base[j - 1] - base[j]
         for add in range(min(upper, remaining, room) + 1):
             counts[j] = add
-            yield from rec(j + 1, remaining - add, room - add)
+            rec(j + 1, remaining - add, room - add)
         counts[j] = 0
 
-    yield from rec(0, m, m if above is None else 0)
+    rec(0, m, m if above is None else 0)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -97,23 +122,35 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
 
     Both inputs are partitions without trailing zeros.  Returns pairs
     (nu, N_{alpha beta nu}); shapes with more than max_rows rows are dropped
-    (they vanish as GL_{max_rows} representations).  Letters 1..len(beta)
-    are placed one strip at a time by ``_lattice_strips``, each bounded by
-    the previous letter's rows, so every complete placement is one LR
-    tableau of shape nu/alpha and content beta.
+    (they vanish as GL_{max_rows} representations).  The smaller factor's
+    letters are placed one strip at a time by ``_lattice_strips``, each
+    bounded by the previous letter's rows, so every complete placement is one
+    LR tableau of shape nu/alpha and content beta.  The coefficients are
+    invariant under conjugating all three shapes, so when beta has fewer
+    columns than rows both factors are conjugated: beta_1 letters are placed
+    instead of len(beta), the row cap becomes a cap on the first row, and
+    each shape is conjugated back at the end.
     """
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha  # symmetric; iterate over the smaller factor
+    conjugated = bool(beta) and beta[0] < len(beta)
+    if conjugated:
+        alpha, beta = _conjugate(alpha), _conjugate(beta)
+        rows, width = len(alpha) + len(beta), max_rows
+    else:
+        rows, width = max_rows, sum(alpha) + sum(beta)
     results: Counter[tuple[int, ...]] = Counter()
 
     def place(i: int, shape: tuple[int, ...], above: tuple[int, ...] | None) -> None:
         if i == len(beta):
             results[shape] += 1
             return
-        for new_shape, counts in _lattice_strips(shape, beta[i], above, max_rows):
+        for new_shape, counts in _lattice_strips(shape, beta[i], above, rows, width):
             place(i + 1, new_shape, counts)
 
     place(0, alpha, None)
+    if conjugated:
+        return tuple(sorted((_conjugate(nu), c) for nu, c in results.items()))
     return tuple(sorted(results.items()))
 
 

@@ -110,6 +110,29 @@ class TestSingleBundle:
                         d, k, gamma, delta
                     ), (d, k, delta)
 
+    def test_repeat_rule_matches_the_dotted_action(self):
+        # non-trivial K-parts: for each d and k, `draws` pairs drawn with a
+        # fixed seed, each part a sorted uniform draw from [-(d+2), d+2]
+        draws = 300
+        draw = random.Random(11)
+        kinds = set()
+        for d in range(3, 13):
+            values = range(-(d + 2), d + 3)
+            for k in range(1, d):
+                for _ in range(draws):
+                    gamma = sorted(draw.choices(values, k=d - k), reverse=True)
+                    delta = sorted(draw.choices(values, k=k), reverse=True)
+                    if not any(gamma):
+                        continue
+                    out = bwb_single(d, k, gamma, delta)
+                    kind = "zero" if out.is_zero else "nonzero"
+                    beta = None if out.is_zero else out.weight.entries
+                    kinds.add((kind, out.degree == 0))
+                    assert (kind, out.degree, beta, out.repeated_value) == dotted_action(
+                        d, k, gamma, delta
+                    ), (d, k, gamma, delta)
+        assert kinds == {("zero", False), ("nonzero", True), ("nonzero", False)}
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             bwb_single(5, 0, (), (0, 0, 0, 0, 0))

@@ -175,6 +175,40 @@ class TestChecks:
         code, _, err = run(capsys, "check-exc", "--d", "5", "--alpha", "4,0")
         assert code == 2 and "error:" in err
 
+    REPORTS = [
+        (["check-exc", "--d", "5", "--alpha", "2,1"], lambda: soc.check_exceptional((2, 1), 5)),
+        (["check-ff", "--d", "5", "--alpha", "1,0"], lambda: soc.check_fully_faithful((1, 0), 5)),
+        (["check-ff", "--d", "6", "--alpha", "4,3"], lambda: soc.check_fully_faithful((4, 3), 6)),
+        (
+            ["check-so", "--d", "6", "--alpha", "4,3", "--beta", "3,3"],
+            lambda: soc.check_semiorthogonal((4, 3), (3, 3), 6),
+        ),
+    ]
+    REPORT_IDS = ["exc-pass", "ff-fail", "ff-pass", "so-pass"]
+
+    @pytest.mark.parametrize("argv, compute", REPORTS, ids=REPORT_IDS)
+    def test_text_mode_never_builds_the_json_payload(self, capsys, monkeypatch, argv, compute):
+        report = compute()
+        expected = [f"{report.kind}: {'pass' if report.verdict else 'fail'} (Hom dimension {report.hom_dimension})"]
+        expected += [
+            f"  q={c.q} summand ({','.join(map(str, c.weight))}): {c.outcome}" for c in report.failures()
+        ]
+
+        def refuse(self):
+            raise AssertionError("to_json called in text mode")
+
+        monkeypatch.setattr(soc.VerificationReport, "to_json", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == (0 if report.verdict else 1)
+        assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("argv, compute", REPORTS, ids=REPORT_IDS)
+    def test_json_mode_prints_the_report_payload(self, capsys, argv, compute):
+        report = compute()
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == (0 if report.verdict else 1)
+        assert out == json.dumps(report.to_json(), sort_keys=True) + "\n"
+
 
 class TestEnumerate:
     def test_ff_labels(self, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -129,6 +131,23 @@ class TestLR:
                 x = S(rank, *a + (0,) * (rank - len(a)))
                 y = S(rank, *b + (0,) * (rank - len(b)))
                 assert lr_tensor(x, y) == decompose(char_of(x) * char_of(y)), (rank, a, b)
+
+    def test_conjugated_orientation_matches_character_oracle(self):
+        # tall factors (parts <= 3, more rows than columns) make lr_coefficients
+        # place the conjugates, whose row cap becomes a first-row cap.  Pairs
+        # with more rows in total than the rank drop rows past it; they run up
+        # to 10 boxes, the others up to 6, which keeps the characters small
+        for rank in range(4, 9):
+            tall = [p for n in range(2, 7) for p in partitions_of(n, rank) if p[0] <= 3 and p[0] < len(p)]
+            dropped = 0
+            for a, b in itertools.combinations_with_replacement(tall, 2):
+                if sum(a) + sum(b) > (10 if len(a) + len(b) > rank else 6):
+                    continue
+                x = S(rank, *a + (0,) * (rank - len(a)))
+                y = S(rank, *b + (0,) * (rank - len(b)))
+                assert lr_tensor(x, y) == decompose(char_of(x) * char_of(y)), (rank, a, b)
+                dropped += lr_coefficients(a, b, rank) != lr_coefficients(a, b, len(a) + len(b))
+            assert dropped, rank
 
     def test_lattice_golden(self):
         # s21 * s21 = s42 + s411 + s33 + 2 s321 + s3111 + s222 + s2211
@@ -420,19 +439,49 @@ class TestSerialization:
         assert repr(x) == "S(2,0) + S(1,1)"
 
 
-def test_hook_content_formula_cross_check():
-    # dim s_p(rank) = prod (rank + j - i) / hook(i, j), independent of Weyl
-    from fractions import Fraction
+def hook_content_dim(p, rank):
+    """dim s_p(rank) = prod over boxes (rank + j - i) / hook(i, j), independent of Weyl."""
+    cols = transpose(Weight(p)).entries
+    value = Fraction(1)
+    for i, row in enumerate(p):
+        for j in range(row):
+            hook = (row - j) + (cols[j] - i) - 1
+            value *= Fraction(rank + j - i, hook)
+    return value
 
-    rank = 4
-    for p in partitions_of(5, rank):
-        cols = transpose(Weight(p)).entries
-        value = Fraction(1)
-        for i, row in enumerate(p):
-            for j in range(row):
-                hook = (row - j) + (cols[j] - i) - 1
-                value *= Fraction(rank + j - i, hook)
-        assert value == weyl_dim(Weight(p + (0,) * (rank - len(p))))
+
+def test_hook_content_formula_cross_check():
+    # rank 4 exhaustively at 5 boxes, then a few shapes at ranks 50, 200, 400
+    cases = [(4, partitions_of(5, 4))]
+    cases.append((50, [(1,), (3, 2, 1), (7, 7, 5, 2), (1,) * 50, (2,) * 25 + (1,) * 20]))
+    cases.append((200, [(1,) * 199, (9, 4, 4, 1), (398,), (3,) * 100 + (1,) * 50]))
+    cases.append((400, [(398,), (1,) * 200, (5, 3, 1), (2,) * 150 + (1,) * 150]))
+    for rank, shapes in cases:
+        for p in shapes:
+            dim = weyl_dim(Weight(p + (0,) * (rank - len(p))))
+            assert type(dim) is int and dim == hook_content_dim(p, rank), (rank, p)
+
+
+def weyl_product(entries):
+    """The Weyl dimension formula as one Fraction product over every pair i < j."""
+    value = Fraction(1)
+    for i, j in itertools.combinations(range(len(entries)), 2):
+        value *= Fraction(entries[i] - entries[j] + j - i, j - i)
+    return value
+
+
+@pytest.mark.parametrize("rank", [5, 11, 50, 200])
+def test_weyl_dim_with_negative_entries_at_large_rank(rank):
+    # entries in [-3, 3] and one long positive and negative row: an int equal
+    # to the plain product, and equal for the dual weight
+    draw = random.Random(rank)
+    weights = [tuple(sorted((draw.randint(-3, 3) for _ in range(rank)), reverse=True)) for _ in range(4)]
+    weights.append((rank,) + (0,) * (rank - 2) + (-rank,))
+    for entries in weights:
+        w = Weight(entries)
+        dim = weyl_dim(w)
+        assert type(dim) is int and dim == weyl_product(entries), entries
+        assert weyl_dim(w.dual()) == dim
 
 
 def test_from_hook_consistency_with_plethysm():

@@ -1,9 +1,11 @@
 """Young-diagram helpers and a Borel-Weil-Bott reference the tests use as oracles.
 
-The package itself never conjugates a diagram or reads hook coordinates;
-the plethysm closed forms and the hook-content formula in the tests do.
-``dotted_action`` is the generic Borel-Weil-Bott computation with no
-shortcut, the reference for ``bwb_single``'s trivial-K rule.
+The package conjugates partitions only inside its Littlewood-Richardson
+rule and never reads hook coordinates; ``transpose`` here is written
+independently of it, for the plethysm closed forms and the hook-content
+formula in the tests.  ``dotted_action`` is the generic Borel-Weil-Bott
+computation with no shortcut, the reference for both of ``bwb_single``'s
+rules: the repeat rule and the trivial-K interval.
 """
 
 from __future__ import annotations
