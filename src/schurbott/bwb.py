@@ -67,7 +67,7 @@ class BWBOutcome:
 def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     """Cohomology of Sigma^gamma K tensor Sigma^delta Q-dual on G(k,d).
 
-    gamma has d-k entries (empty for k = d), delta has k entries.
+    gamma has d-k entries and delta has k entries, each at least one.
     """
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")

@@ -17,7 +17,7 @@ from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc, verify
 from .bwb import bwb_single
-from .partitions import Weight, parse_weight, trivial
+from .partitions import Weight, parse_weight
 
 #: Most integer additions `schur sym|ext --power m` makes: each combination of
 #: m weight monomials adds m exponent vectors of length rank.  Near the bound
@@ -76,7 +76,8 @@ def cmd_schur(args: argparse.Namespace) -> int:
 def cmd_bwb(args: argparse.Namespace) -> int:
     d, k = args.d, args.k
     _check_label_d(d)
-    gamma = args.k_weight if args.k_weight is not None else trivial(d - k)
+    # a plain tuple, so that bwb_single checks 1 <= k <= d-1 before it builds a Weight
+    gamma = args.k_weight if args.k_weight is not None else (0,) * (d - k)
     outcome = bwb_single(d, k, gamma, args.q_weight)
     _emit(args, str(outcome), outcome.to_json())
     return 0

@@ -10,8 +10,9 @@ has fewer letters to place.  ``lr_tensor`` runs the
 Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
 the closed form is checked against.  Symmetric/exterior powers and general
 plethysms go through an independent character-polynomial oracle: expand
-into a multiset of weight monomials, apply the elementary or complete
-symmetric function, and peel the result back into Schur terms.  A character
+into a multiset of weight monomials by the Gelfand-Tsetlin branching rule,
+apply the elementary or complete symmetric function, and peel the result
+back into Schur terms, each highest weight once.  A character
 stores its coefficients as a sorted tuple of (exponent vector, coefficient)
 pairs; ``schur_char`` builds each weight's character once and hands out the
 same object on every later call, so characters are never mutated.  Weyl
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .partitions import Weight, _stripped, trivial
 
@@ -232,9 +233,6 @@ class RepElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def _check(self, other: "RepElement") -> None:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -362,65 +360,36 @@ class CharPoly:
         return out
 
 
-def _row_fillings(
-    length: int, below: tuple[int, ...] | None, first: int, rank: int
-) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing rows of letters first+1..rank, each smaller than the letter below it.
-
-    Yields each row as its count of every letter.  Columns strictly increase
-    exactly when, for every v, the row has at least as many letters <= v as
-    the row below (counts ``below``, None for the bottom row) has letters
-    <= v+1.  These are lower bounds only, so every choice that meets them so
-    far completes, and the letters from first+1 on leave room for the rows
-    above.  The row is placed as runs of equal letters, one generator level
-    per run, so a row costs its distinct letters, not its length.
-    """
-    last = rank - 1
-    # floor[v]: the least count of letters <= v (0-based) in this row, which
-    # is the row below's count of letters <= v + 1
-    floor = [0] * last if below is None else list(itertools.accumulate(below))[1:]
-    row = [0] * rank
-
-    def runs(v: int, placed: int) -> Iterator[tuple[int, ...]]:
-        for u in range(v, last):
-            if u > v and floor[u - 1] > placed:
-                return  # letters v..u-1 cannot all stay empty, nor can later ones
-            for c in range(max(1, floor[u] - placed), length - placed + 1):
-                row[u] = c
-                if placed + c == length:
-                    yield tuple(row)
-                else:
-                    yield from runs(u + 1, placed + c)
-            row[u] = 0
-        if v == last or floor[last - 1] <= placed:
-            row[last] = length - placed
-            yield tuple(row)
-            row[last] = 0
-
-    yield from runs(first, 0)
-
-
 def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Weight multiset of s_shape(x_1..x_rank) via semistandard tableaux, filled from the bottom row up."""
-    rows = [r for r in shape if r > 0]
+    """Weight multiset of s_shape(x_1..x_rank) by the Gelfand-Tsetlin branching rule.
+
+    s_mu(x_1..x_l) sums s_nu(x_1..x_{l-1}) x_l^{|mu|-|nu|} over the shapes nu
+    of the letters below l: those interlacing mu (mu_{j+1} <= nu_j <= mu_j)
+    with at most l-1 rows.  Each such nu completes, so no branch dead-ends,
+    and the recursion is at most ``rank`` deep.
+    """
+    rows = tuple(r for r in shape if r > 0)
     if len(rows) > rank:
         return ()
-    if not rows:
-        return (((0,) * rank, 1),)
     counts: dict[tuple[int, ...], int] = {}
-    get, add = counts.get, operator.add
+    exps = [0] * rank  # set in place on the way down, copied at each leaf
 
-    def fill(i: int, below: tuple[int, ...] | None, content: tuple[int, ...]) -> None:
-        fillings = _row_fillings(rows[i], below, i, rank)
-        if i == 0:
-            for row in fillings:
-                e = tuple(map(add, content, row))
-                counts[e] = get(e, 0) + 1
-        else:
-            for row in fillings:
-                fill(i - 1, row, tuple(map(add, content, row)))
+    def branch(mu: tuple[int, ...], size: int, l: int) -> None:
+        if l == 1 or not mu:  # x_1 takes every box left; an empty mu leaves x_1..x_l at 0
+            exps[0] = size
+            e = tuple(exps)
+            counts[e] = counts.get(e, 0) + 1
+            return
+        # nu_j ranges over [mu_{j+1}, mu_j], mu_{len mu} = 0, for j < min(len mu, l-1)
+        for nu in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(mu[1:] + (0,), mu[:l - 1])]):
+            if not nu[-1]:  # only the last lower bound is 0
+                nu = nu[:-1]
+            s = sum(nu)
+            exps[l - 1] = size - s
+            branch(nu, s, l - 1)
+        exps[l - 1] = 0
 
-    fill(len(rows) - 1, None, (0,) * rank)
+    branch(rows, sum(rows), rank)
     return tuple(sorted(counts.items()))
 
 
@@ -448,30 +417,27 @@ def char_of(a: RepElement) -> CharPoly:
     return CharPoly.from_counter(a.rank, out)
 
 
-def decompose(c: CharPoly, require_effective: bool = False) -> RepElement:
-    """Invert char_of by greedy highest-weight peeling.
+def decompose(c: CharPoly) -> RepElement:
+    """Invert char_of by peeling highest weights.
 
-    Repeatedly subtracts the Schur character of the lexicographically
-    largest remaining exponent vector.  For a genuine character this
-    terminates with the (unique) Schur expansion; otherwise a non-dominant
-    leading exponent fails as a ``Weight`` (ValueError).
+    The lexicographically largest remaining exponent vector w is a highest
+    weight: its coefficient is the multiplicity of S^w, whose character is
+    then subtracted.  Every weight of S^w is at most w in lex order, so each
+    vector is peeled once, and a genuine or virtual character ends as its
+    Schur expansion; a non-dominant leading vector fails as a ``Weight``.
     """
-    remaining = Counter(dict(c.coeffs))
+    remaining = dict(c.coeffs)
     terms: dict[Weight, int] = {}
-    while True:
-        remaining = Counter({e: v for e, v in remaining.items() if v != 0})
-        if not remaining:
-            break
+    while remaining:
         top = max(remaining)
-        mult = remaining[top]
-        if require_effective and mult < 0:
-            raise DecompositionError(
-                f"peeling produced negative multiplicity {mult} at weight {top}"
-            )
-        w = Weight(top)
-        terms[w] = terms.get(w, 0) + mult
+        w, mult = Weight(top), remaining[top]
+        terms[w] = mult
         for e, k in schur_char(w).coeffs:
-            remaining[e] -= mult * k
+            v = remaining.get(e, 0) - mult * k
+            if v:
+                remaining[e] = v
+            else:
+                del remaining[e]
     return RepElement(c.rank, terms)
 
 
@@ -480,7 +446,10 @@ def decompose(c: CharPoly, require_effective: bool = False) -> RepElement:
 # ---------------------------------------------------------------------------
 
 def _power(a: RepElement, m: int, choose) -> RepElement:
-    """Sum of the weight monomials over every ``choose(monomials, m)``: e_m or h_m."""
+    """Sum of the weight monomials over every ``choose(monomials, m)``: e_m or h_m.
+
+    The peeled power must be effective: a negative multiplicity raises ``DecompositionError``.
+    """
     if m < 0:
         raise ValueError(f"negative power {m}")
     if m == 0:
@@ -489,7 +458,10 @@ def _power(a: RepElement, m: int, choose) -> RepElement:
         raise ValueError("plethysm of a non-effective element is undefined")
     combos = choose(char_of(a).monomials(), m)
     counts = Counter(tuple(map(sum, zip(*combo))) for combo in combos)
-    return decompose(CharPoly.from_counter(a.rank, counts), require_effective=True)
+    result = decompose(CharPoly.from_counter(a.rank, counts))
+    if not result.is_effective():
+        raise DecompositionError(f"peeling produced a negative multiplicity: {result}")
+    return result
 
 
 def ext_power(a: RepElement, m: int) -> RepElement:

@@ -129,6 +129,8 @@ def _self_ext_report(a: Weight, d: int, top_q: int, kind: str) -> VerificationRe
 
 def check_exceptional(alpha, d: int) -> VerificationReport:
     """Self-Exts of S^alpha Q^v on G(2,d): pass iff End = k in degree 0 only."""
+    if d < 3:
+        raise ValueError("exceptional check requires d >= 3")
     return _self_ext_report(_box_label(alpha, d), d, 0, "exceptional")
 
 

@@ -51,6 +51,11 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "ext", "--rank", "2", "--power", "1", "2000,0")
         assert code == 0 and out.strip() == "S(2000,0)"
 
+    def test_full_column_at_the_rank_bound(self, capsys):
+        column = ",".join(["1"] * MAX_LABEL_D)
+        code, out, _ = run(capsys, "schur", "ext", "--rank", str(MAX_LABEL_D), "--power", "1", column)
+        assert code == 0 and out.strip() == f"S({column})"
+
     def test_tensor_needs_two_weights_is_usage_error(self, capsys):
         code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
         assert code == 2 and "two weights" in err
@@ -112,8 +117,9 @@ class TestBwb:
         assert code == 0 and out.strip() == "degree 0: S(1,1,1,0,0) (dim 10)"
 
     def test_invalid_k_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "bwb", "--d", "5", "--k", "5", "--q-weight", "0,0")
-        assert code == 2 and "error:" in err
+        for d, k in (("5", "5"), ("5", "7"), ("0", "1")):  # k = d, k > d, no K-part
+            code, _, err = run(capsys, "bwb", "--d", d, "--k", k, "--q-weight", "0,0")
+            assert code == 2 and "need 1 <= k <= d-1" in err, (d, k)
 
 
 class TestWedge:
@@ -174,6 +180,11 @@ class TestChecks:
     def test_label_outside_box_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check-exc", "--d", "5", "--alpha", "4,0")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("d", ["2", "1", "-3"])
+    def test_exceptional_below_three_is_usage_error(self, capsys, d):
+        code, _, err = run(capsys, "check-exc", "--d", d, "--alpha", "0,0")
+        assert code == 2 and "exceptional check requires d >= 3" in err
 
     REPORTS = [
         (["check-exc", "--d", "5", "--alpha", "2,1"], lambda: soc.check_exceptional((2, 1), 5)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurbott import rep_ring
 from schurbott.partitions import Weight
 from schurbott.rep_ring import (
     CharPoly,
@@ -310,11 +311,17 @@ class TestCharacterOracle:
         with pytest.raises(ValueError, match="non-increasing"):
             decompose(bad)
 
-    def test_require_effective_flags_virtual(self):
+    def test_power_rejects_virtual_peel(self, monkeypatch):
         virtual = char_of(S(2, 1, 0) - S(2, 1, 1))
-        with pytest.raises(DecompositionError):
-            decompose(virtual, require_effective=True)
         assert decompose(virtual) == S(2, 1, 0) - S(2, 1, 1)
+        monkeypatch.setattr(rep_ring, "decompose", lambda c: S(2, 1, 0) - S(2, 1, 1))
+        for power in (ext_power, sym_power):
+            with pytest.raises(DecompositionError):
+                power(S(3, 1, 0, 0), 2)
+
+    def test_full_column_at_rank_400(self):
+        # the deepest Gelfand-Tsetlin recursion the CLI's rank bound allows
+        assert schur_char(Weight((1,) * 400)).coeffs == (((1,) * 400, 1),)
 
 
 def even_rows(p):

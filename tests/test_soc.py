@@ -72,6 +72,11 @@ class TestExceptional:
         survivors = [c for c in report.conditions if not c.required_zero]
         assert len(survivors) == 1 and survivors[0].weight == (0, 0)
 
+    @pytest.mark.parametrize("d", [2, 1, -3])
+    def test_requires_d_at_least_three(self, d):
+        with pytest.raises(ValueError, match="requires d >= 3"):
+            check_exceptional(weight(0, 0), d)
+
     def test_json_schema(self):
         data = check_exceptional(weight(2, 1), 5).to_json()
         json.dumps(data)  # serializable
