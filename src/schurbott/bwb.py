@@ -20,14 +20,11 @@ that interval, and ``bwb_single`` checks that first, from the Q-part alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .partitions import Weight, trivial
+from .partitions import Frozen, Value, Weight, trivial
 from .rep_ring import RepElement, tensor as _rep_tensor, weyl_dim
 
 
-@dataclass(frozen=True)
-class BWBOutcome:
+class BWBOutcome(Frozen):
     """Cohomology of a single irreducible homogeneous bundle.
 
     Either zero (with the repeated dotted-weight value as a witness), or
@@ -35,9 +32,15 @@ class BWBOutcome:
     dual ambient space.
     """
 
-    degree: int | None = None
-    weight: Weight | None = None
-    repeated_value: int | None = None
+    __slots__ = ("degree", "weight", "repeated_value")
+    degree: int | None
+    weight: Weight | None
+    repeated_value: int | None
+
+    def __init__(self, degree: int | None = None, weight: Weight | None = None, repeated_value: int | None = None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "repeated_value", repeated_value)
 
     @property
     def is_zero(self) -> bool:
@@ -92,21 +95,22 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     return BWBOutcome(degree=degree, weight=Weight(beta))
 
 
-@dataclass
-class BundleExpr:
+class BundleExpr(Value):
     """Integer combination of bundles Sigma^gamma K tensor Sigma^delta Q-dual on G(k,d)."""
 
-    d: int
-    k: int
-    terms: dict[tuple[Weight, Weight], int] = field(default_factory=dict)
+    __slots__ = ("d", "k", "terms")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.d - 1:
-            raise ValueError(f"need 1 <= k <= d-1, got k={self.k}, d={self.d}")
-        for g, q in self.terms:
-            if g.rank != self.d - self.k or q.rank != self.k:
-                raise ValueError(f"term ({g},{q}) does not match G({self.k},{self.d})")
-        self.terms = {key: c for key, c in self.terms.items() if c != 0}
+    def __init__(self, d: int, k: int, terms: dict[tuple[Weight, Weight], int] | None = None):
+        if not 1 <= k <= d - 1:
+            raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
+        if terms is None:
+            terms = {}
+        for g, q in terms:
+            if g.rank != d - k or q.rank != k:
+                raise ValueError(f"term ({g},{q}) does not match G({k},{d})")
+        self.d = d
+        self.k = k
+        self.terms = {key: c for key, c in terms.items() if c != 0}
 
     @classmethod
     def from_qdual(cls, d: int, k: int, element: RepElement) -> "BundleExpr":

@@ -3,27 +3,74 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class Weight:
+class Value:
+    """Base of the package's plain value types.
+
+    The fields are the subclass's ``__slots__``, in constructor order.  An
+    instance is equal only to one of the same class with equal fields, prints
+    as ``Name(field=value, ...)`` and, since it defines ``__eq__`` alone, is
+    unhashable unless it is ``Frozen``.  Equality and hashing read the fields
+    through ``_key``, one ``attrgetter`` call: a tuple of the fields, or the
+    lone field of a one-field class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Value):
+    """An immutable, hashable ``Value``: ``__init__`` sets each field once,
+    through ``object.__setattr__``, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Weight(Frozen):
     """A non-increasing integer vector of fixed length r.
 
     The weight is stored dense, including zero tails; the rank is the
     length of ``entries``.  Negative entries are allowed (rational
     representations of GL_r / K-theory classes), so there is no canonical
     sparse form.  Non-integral entries (floats, strings) raise TypeError.
+    The constructor is the one place a weight is validated.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(map(operator.index, self.entries))
-        if len(entries) < 1:
+    def __init__(self, entries: Sequence[int]):
+        entries = tuple(map(operator.index, entries))
+        if not entries:
             raise ValueError("a weight needs at least one entry")
-        if any(a < b for a, b in zip(entries, entries[1:])):
+        if not all(map(operator.ge, entries, entries[1:])):
             raise ValueError(f"weight entries must be non-increasing: {entries}")
         object.__setattr__(self, "entries", entries)
 

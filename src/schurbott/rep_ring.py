@@ -24,12 +24,11 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
-from .partitions import Weight, _stripped, trivial
+from .partitions import Frozen, Weight, _stripped, trivial
 
 
 class DecompositionError(ValueError):
@@ -185,6 +184,8 @@ class RepElement:
     @classmethod
     def schur(cls, rank: int, entries) -> "RepElement":
         """S^w over GL_rank: zero rows past rank are dropped, more nonzero rows give 0."""
+        if rank < 1:  # before w.entries[rank] reads a row from the end
+            raise ValueError("rank must be positive")
         w = entries if isinstance(entries, Weight) else Weight(tuple(entries))
         if w.rank > rank:
             if not w.is_partition():
@@ -320,8 +321,7 @@ def dual(a: RepElement) -> RepElement:
 # Character oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Frozen):
     """Symmetric integer Laurent polynomial in ``rank`` variables.
 
     ``coeffs`` is a tuple of (exponent vector, coefficient) pairs, sorted by
@@ -332,8 +332,13 @@ class CharPoly:
     and shares it, so an instance is never mutated.
     """
 
+    __slots__ = ("rank", "coeffs")
     rank: int
     coeffs: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __init__(self, rank: int, coeffs: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_counter(cls, rank: int, counts: Mapping[tuple[int, ...], int]) -> "CharPoly":

@@ -11,20 +11,20 @@ each verdict and Hom dimension is read from its records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bundle_calculus import wedge_nprime
 from .bwb import BWBOutcome, BundleExpr, bwb_single
-from .partitions import Weight, sort_key, precedes, trivial
+from .partitions import Value, Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
 
 
-@dataclass
-class ConditionRecord:
-    q: int
-    weight: tuple[int, ...]
-    outcome: BWBOutcome
-    required_zero: bool = True
+class ConditionRecord(Value):
+    __slots__ = ("q", "weight", "outcome", "required_zero")
+
+    def __init__(self, q: int, weight: tuple[int, ...], outcome: BWBOutcome, required_zero: bool = True):
+        self.q = q
+        self.weight = weight
+        self.outcome = outcome
+        self.required_zero = required_zero
 
     def to_json(self) -> dict:
         return {
@@ -35,17 +35,20 @@ class ConditionRecord:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Pass/fail verdict with the full cohomology witness trace."""
 
-    verdict: bool
-    d: int
-    alpha: Weight
-    beta: Weight | None = None
-    conditions: list[ConditionRecord] = field(default_factory=list)
-    hom_dimension: int = 0
-    kind: str = ""
+    __slots__ = ("verdict", "d", "alpha", "beta", "conditions", "hom_dimension", "kind")
+
+    def __init__(self, verdict: bool, d: int, alpha: Weight, beta: Weight | None = None,
+                 conditions: list[ConditionRecord] | None = None, hom_dimension: int = 0, kind: str = ""):
+        self.verdict = verdict
+        self.d = d
+        self.alpha = alpha
+        self.beta = beta
+        self.conditions = [] if conditions is None else conditions
+        self.hom_dimension = hom_dimension
+        self.kind = kind
 
     def to_json(self) -> dict:
         data = {

@@ -7,7 +7,6 @@ check is a strict equality with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator
@@ -16,14 +15,16 @@ from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc
 from .bwb import BundleExpr, bwb_single, cohomology
-from .partitions import Weight
+from .partitions import Value, Weight
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"name": self.name, "verdict": "pass" if self.passed else "fail", "detail": self.detail}

@@ -89,6 +89,11 @@ class TestSchur:
         code, _, err = run(capsys, "schur", "dual", "--rank", "3", "1,-1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("rank", ["-2", "-1", "0"])
+    def test_non_positive_rank_is_usage_error(self, capsys, rank):
+        code, out, err = run(capsys, "schur", "dim", "--rank", rank, "1")
+        assert code == 2 and out == "" and "error: rank must be positive" in err
+
     def test_negative_weight_parsing(self, capsys):
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "0,-2")
         assert code == 0 and out.strip() == "S(2,0)"

@@ -1,7 +1,10 @@
 """Package-wide guards: checks that survive ``python -O`` (which strips asserts),
-and a public surface that imports cleanly."""
+a public surface that imports cleanly, and a cold start that stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import schurbott
@@ -25,3 +28,18 @@ def test_public_names_are_unique_and_resolve():
     namespace = {}
     exec("from schurbott import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # Every command starts a fresh interpreter.  `dataclasses` alone pulls in
+    # `inspect`, `ast`, `dis` and `tokenize` and generates code at import;
+    # the value types are plain classes, so importing the CLI needs none of them.
+    code = (
+        "import sys; before = set(sys.modules); import schurbott.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+    )
+    src = str(PACKAGE_DIR.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,18 +19,27 @@ def box_partitions(rows, cols):
 
 class TestWeight:
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weight entries must be non-increasing: \(1, 2\)$"):
             Weight((1, 2))
+        entries = (5,) * 13 + (6,)
+        with pytest.raises(ValueError) as info:
+            Weight(entries)
+        assert str(info.value) == f"weight entries must be non-increasing: {entries}"
+        assert Weight(entries[:-1] + (-6,)).rank == 14
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a weight needs at least one entry$"):
             Weight(())
 
     def test_rejects_non_integral_entries(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
             Weight((1.5, 0))
         with pytest.raises(TypeError):
             Weight(("3", "1"))
+
+    def test_entries_are_plain_ints(self):
+        w = Weight((True, False))
+        assert w.entries == (1, 0) and type(w.entries[0]) is int
 
     def test_negative_entries_allowed(self):
         w = weight(3, -1)

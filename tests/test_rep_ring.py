@@ -201,6 +201,14 @@ class TestLR:
         with pytest.raises(ValueError):
             S(2, 1, 0, -1)
 
+    @pytest.mark.parametrize("rank", [-2, -1, 0])
+    def test_schur_rejects_a_non_positive_rank(self, rank):
+        # a negative rank must not index the weight's rows from the end
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            RepElement.schur(rank, (1,))
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            RepElement.schur(rank, (1, 1, 0))
+
     def test_negative_entries_via_det_shift(self):
         got = tensor(S(2, 1, 0), S(2, 0, -1))
         assert got == S(2, 1, -1) + S(2, 0, 0)
