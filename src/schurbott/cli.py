@@ -1,15 +1,17 @@
 """Command-line surface for batch verification and exploration.
 
 Weights use the bare comma syntax "a,b" (negative entries allowed, rank
-inferred from the length).  Exit codes: 0 on success/pass, 1 on a failed
-verification, 2 on usage errors.  Reports go to stdout, diagnostics to
-stderr; --format json emits the documented stable schemas.
+inferred from the length); a token that starts with "-" and a digit is
+always a weight, never an option.  Exit codes: 0 on success/pass, 1 on a
+failed verification, 2 on usage errors.  Reports go to stdout, diagnostics
+to stderr; --format json emits the documented stable schemas.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import comb
 
@@ -28,6 +30,17 @@ MAX_POWER_ADDITIONS = 1_000_000
 #: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus
 #: 0.01-0.05 s per Weyl dimension a check reports at that size.
 MAX_LABEL_D = 400
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with -<digit> as a value, so "-1,-2" is a weight.
+
+    No option starts with a digit.  Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -159,7 +172,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurbott",
         description="Exact Schur calculus and cohomology checks on Grassmannians",
     )

@@ -8,11 +8,14 @@ letter, so the lattice condition prunes as it places.  A smaller factor
 that is taller than it is wide is multiplied through its conjugate, which
 has fewer letters to place.  ``lr_tensor`` runs the
 Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
-the closed form is checked against.  Symmetric/exterior powers and general
-plethysms go through an independent character-polynomial oracle: expand
-into a multiset of weight monomials by the Gelfand-Tsetlin branching rule,
-apply the elementary or complete symmetric function, and peel the result
-back into Schur terms, each highest weight once.  A character
+the closed form is checked against; it passes the larger factor first, so
+both orders of a pair share one cached computation.  ``verify`` checks the
+rule against the Brauer-Klimyk formula, which reads one factor's weights
+from ``schur_char`` and never places a tableau.  Symmetric/exterior powers
+and general plethysms go through an independent character-polynomial
+oracle: expand into a multiset of weight monomials by the Gelfand-Tsetlin
+branching rule, apply the elementary or complete symmetric function, and
+peel the result back into Schur terms, each highest weight once.  A character
 stores its coefficients as a sorted tuple of (exponent vector, coefficient)
 pairs; ``schur_char`` builds each weight's character once and hands out the
 same object on every later call, so characters are never mutated.  Weyl
@@ -300,7 +303,9 @@ def lr_tensor(a: RepElement, b: RepElement) -> RepElement:
         pa, ma = _partition_shift(wa)
         for (pb, mb), cb in b_shapes:
             shift = ma + mb
-            for nu, mult in lr_coefficients(pa, pb, rank):
+            # larger factor first, so both orders of a pair share one cache entry
+            key = (pb, pa) if sum(pb) > sum(pa) else (pa, pb)
+            for nu, mult in lr_coefficients(*key, rank):
                 w = Weight(tuple(e - shift for e in nu) + (-shift,) * (rank - len(nu)))
                 out[w] = out.get(w, 0) + ca * cb * mult
     return RepElement(rank, out)
@@ -371,7 +376,9 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
     s_mu(x_1..x_l) sums s_nu(x_1..x_{l-1}) x_l^{|mu|-|nu|} over the shapes nu
     of the letters below l: those interlacing mu (mu_{j+1} <= nu_j <= mu_j)
     with at most l-1 rows.  Each such nu completes, so no branch dead-ends,
-    and the recursion is at most ``rank`` deep.
+    and the recursion is at most ``rank`` deep.  Only the rows where
+    interlacing leaves a choice (mu_{j+1} < mu_j) are branched on; every
+    other row of nu is fixed at its lower bound.
     """
     rows = tuple(r for r in shape if r > 0)
     if len(rows) > rank:
@@ -386,12 +393,18 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
             counts[e] = counts.get(e, 0) + 1
             return
         # nu_j ranges over [mu_{j+1}, mu_j], mu_{len mu} = 0, for j < min(len mu, l-1)
-        for nu in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(mu[1:] + (0,), mu[:l - 1])]):
+        low = (mu[1:] + (0,))[:l - 1]
+        free = [j for j, lo in enumerate(low) if lo < mu[j]]
+        base = sum(low)
+        for extra in itertools.product(*[range(mu[j] - low[j] + 1) for j in free]):
+            nu = list(low)
+            for j, x in zip(free, extra):
+                nu[j] += x
             if not nu[-1]:  # only the last lower bound is 0
-                nu = nu[:-1]
-            s = sum(nu)
+                nu.pop()
+            s = base + sum(extra)
             exps[l - 1] = size - s
-            branch(nu, s, l - 1)
+            branch(tuple(nu), s, l - 1)
         exps[l - 1] = 0
 
     branch(rows, sum(rows), rank)

@@ -7,7 +7,7 @@ check is a strict equality with zero tolerance.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator
 
@@ -174,23 +174,52 @@ def check_cotangent(d_max: int) -> CheckResult:
     return CheckResult("cotangent-simplicity", True, f"{total} Grassmannians, d <= {top}")
 
 
+def _brauer_klimyk(a: Weight, b: Weight) -> dict[Weight, int]:
+    """S^a (x) S^b by the Brauer-Klimyk formula, from the character of S^a alone.
+
+    Each weight e of S^a, with its multiplicity, contributes S^(b+e)
+    straightened: add rho = (r-1, ..., 0); a repeated entry drops the term,
+    otherwise sort decreasingly, with the sign of the sort, and subtract rho.
+    """
+    rank = a.rank
+    rho = range(rank - 1, -1, -1)
+    b_rho = [x + p for x, p in zip(b.entries, rho)]
+    out: dict[tuple[int, ...], int] = {}
+    for e, mult in rr.schur_char(a).coeffs:
+        v = [x + y for x, y in zip(b_rho, e)]
+        if len(set(v)) < rank:
+            continue
+        if sum(x < y for x, y in combinations(v, 2)) % 2:
+            mult = -mult
+        v.sort(reverse=True)
+        key = tuple(x - p for x, p in zip(v, rho))
+        out[key] = out.get(key, 0) + mult
+    return {Weight(k): c for k, c in out.items() if c}
+
+
 def check_oracle_equivalence(d_max: int) -> CheckResult:
+    """The LR product against Brauer-Klimyk, then BWB against Bott's formula.
+
+    Every ordered pair of rank-3 Schur functors with at most 6 boxes is
+    multiplied by ``tensor`` (the Littlewood-Richardson rule at rank 3) and
+    compared with the Brauer-Klimyk expansion of the unordered pair, computed
+    once.  That route reads one factor's weights from its Gelfand-Tsetlin
+    character and straightens by the dotted Weyl action, so it shares no
+    code with LR tableaux.  Bott's formula on P^1..P^5 checks ``bwb_single``.
+    """
     del d_max
     rank = 3
-    elements = []
-    for shape in product(range(7), repeat=rank):
-        if shape[0] >= shape[1] >= shape[2] and sum(shape) <= 6:
-            a = rr.RepElement.schur(rank, shape)
-            elements.append((shape, a, rr.char_of(a)))
+    weights = [Weight(s) for s in product(range(7), repeat=rank) if s[0] >= s[1] >= s[2] and sum(s) <= 6]
     pairs = 0
-    # one character product per unordered pair, checked against both LR orders
-    for i, (pa, a, ca) in enumerate(elements):
-        for pb, b, cb in elements[i:]:
-            expected = (ca * cb).coeffs
-            orders = [(pa, a, pb, b)] if pa == pb else [(pa, a, pb, b), (pb, b, pa, a)]
-            for px, x, py, y in orders:
-                if rr.char_of(rr.tensor(x, y)).coeffs != expected:
-                    return CheckResult("oracle-equivalence", False, f"LR vs character at {px} x {py}")
+    # one expansion per unordered pair, checked against both LR orders
+    for i, wa in enumerate(weights):
+        for wb in weights[i:]:
+            expected = _brauer_klimyk(wa, wb)
+            orders = [(wa, wb)] if wa == wb else [(wa, wb), (wb, wa)]
+            for wx, wy in orders:
+                x, y = rr.RepElement.schur(rank, wx), rr.RepElement.schur(rank, wy)
+                if rr.tensor(x, y).terms != expected:
+                    return CheckResult("oracle-equivalence", False, f"LR vs character at {wx.entries} x {wy.entries}")
                 pairs += 1
     # Bott's formula on projective spaces of quotients (k = 1)
     for d in range(2, 7):

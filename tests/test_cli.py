@@ -98,6 +98,20 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "0,-2")
         assert code == 0 and out.strip() == "S(2,0)"
 
+    def test_weight_starting_with_a_minus_is_a_weight_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "schur", "dual", "--rank", "2", "-1,-2")
+        assert code == 0 and out.strip() == "S(2,1)"
+        code, out, _ = run(capsys, "schur", "dim", "--rank", "2", "0,-1", "-1,-2")
+        assert code == 0 and out.splitlines() == ["dim S(0,-1) = 2", "dim S(-1,-2) = 2"]
+        code, out, _ = run(capsys, "schur", "tensor", "--rank", "1", "-3", "-2")
+        assert code == 0 and out.strip() == "S(-5)"
+
+    def test_unknown_option_is_still_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "dim", "--rank", "2", "1,0", "-x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -x" in capsys.readouterr().err
+
 
 class TestBwb:
     def test_zero_outcome(self, capsys):
@@ -120,6 +134,13 @@ class TestBwb:
             capsys, "bwb", "--d", "5", "--k", "2", "--k-weight", "1,1,1", "--q-weight", "0,0"
         )
         assert code == 0 and out.strip() == "degree 0: S(1,1,1,0,0) (dim 10)"
+
+    def test_negative_q_weight(self, capsys):
+        for argv in (["--q-weight", "-1,-2"], ["--q-weight=-1,-2"]):
+            code, out, _ = run(capsys, "bwb", "--d", "5", "--k", "2", *argv)
+            assert code == 0 and out.strip() == "degree 0: S(0,0,0,-1,-2) (dim 40)", argv
+        code, out, _ = run(capsys, "bwb", "--d", "4", "--k", "2", "--k-weight", "-4,-4", "--q-weight", "0,0")
+        assert code == 0 and out.strip() == "degree 4: S(-2,-2,-2,-2) (dim 1)"
 
     def test_invalid_k_is_usage_error(self, capsys):
         for d, k in (("5", "5"), ("5", "7"), ("0", "1")):  # k = d, k > d, no K-part

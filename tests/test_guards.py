@@ -2,6 +2,7 @@
 a public surface that imports cleanly, and a cold start that stays light."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +44,20 @@ def test_cli_import_loads_no_code_generation_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_paper_runs_the_same_under_dash_o():
+    # -O strips assert statements; every guard is an explicit raise, so the
+    # suite must pass with the same verdicts and details either way
+    src = str(PACKAGE_DIR.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "schurbott", "--format", "json", "verify-paper", "--d-max", "7"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        outputs.append(proc.stdout)
+    assert [r["verdict"] for r in json.loads(outputs[0])] == ["pass"] * 10
+    assert outputs[0] == outputs[1]

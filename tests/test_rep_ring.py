@@ -150,6 +150,15 @@ class TestLR:
                 dropped += lr_coefficients(a, b, rank) != lr_coefficients(a, b, len(a) + len(b))
             assert dropped, rank
 
+    def test_both_orders_share_one_computation_unless_sizes_tie(self):
+        # lr_tensor passes the larger factor first, so a pair's two orders are
+        # one cache entry; factors of equal size keep one entry per order
+        for a, b, misses, hits in (((2, 1, 0), (1, 0, 0), 1, 1), ((2, 0, 0), (1, 1, 0), 2, 0)):
+            lr_coefficients.cache_clear()
+            assert tensor(S(3, *a), S(3, *b)) == tensor(S(3, *b), S(3, *a))
+            info = lr_coefficients.cache_info()
+            assert (info.misses, info.hits) == (misses, hits), (a, b)
+
     def test_lattice_golden(self):
         # s21 * s21 = s42 + s411 + s33 + 2 s321 + s3111 + s222 + s2211
         full = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
@@ -297,7 +306,7 @@ class TestCharacterOracle:
                 x, y = S(rank, *a), S(rank, *b)
                 assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
 
-    @pytest.mark.parametrize("k", [1, 5, 24])
+    @pytest.mark.parametrize("k", [1, 5, 24, 99])
     def test_column_characters(self, k):
         # S(1^k) at rank k + 1 is e_k: every exponent vector with one 0.  A
         # filling that does not look ahead tries about 2^(k+1) columns here.
