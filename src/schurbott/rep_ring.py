@@ -378,22 +378,28 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
     with at most l-1 rows.  Each such nu completes, so no branch dead-ends,
     and the recursion is at most ``rank`` deep.  Only the rows where
     interlacing leaves a choice (mu_{j+1} < mu_j) are branched on; every
-    other row of nu is fixed at its lower bound.
+    other row of nu is fixed at its lower bound.  A mu with exactly l rows
+    is first divided by (x_1...x_l)^{mu_l}, carried as a shift of those l
+    exponents, so a forced chain of full columns ends at once.
     """
     rows = tuple(r for r in shape if r > 0)
     if len(rows) > rank:
         return ()
     counts: dict[tuple[int, ...], int] = {}
-    exps = [0] * rank  # set in place on the way down, copied at each leaf
+    exps = [0] * rank  # x_{l+1}..x_rank, set in place on the way down
 
-    def branch(mu: tuple[int, ...], size: int, l: int) -> None:
-        if l == 1 or not mu:  # x_1 takes every box left; an empty mu leaves x_1..x_l at 0
-            exps[0] = size
-            e = tuple(exps)
+    def branch(mu: tuple[int, ...], size: int, l: int, shift: int) -> None:
+        if len(mu) == l:  # s_mu = (x_1...x_l)^{mu_l} s_{mu - mu_l}
+            m = mu[-1]
+            mu = tuple(r - m for r in mu if r > m)
+            size -= l * m
+            shift += m
+        if not mu:  # x_1..x_l are all at the shift; l = 1 always lands here
+            e = (shift,) * l + tuple(exps[l:])
             counts[e] = counts.get(e, 0) + 1
             return
-        # nu_j ranges over [mu_{j+1}, mu_j], mu_{len mu} = 0, for j < min(len mu, l-1)
-        low = (mu[1:] + (0,))[:l - 1]
+        # nu_j ranges over [mu_{j+1}, mu_j], mu_{len mu} = 0, for j < len mu <= l-1
+        low = mu[1:] + (0,)
         free = [j for j, lo in enumerate(low) if lo < mu[j]]
         base = sum(low)
         for extra in itertools.product(*[range(mu[j] - low[j] + 1) for j in free]):
@@ -403,11 +409,10 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
             if not nu[-1]:  # only the last lower bound is 0
                 nu.pop()
             s = base + sum(extra)
-            exps[l - 1] = size - s
-            branch(tuple(nu), s, l - 1)
-        exps[l - 1] = 0
+            exps[l - 1] = size - s + shift
+            branch(tuple(nu), s, l - 1, shift)
 
-    branch(rows, sum(rows), rank)
+    branch(rows, sum(rows), rank, 0)
     return tuple(sorted(counts.items()))
 
 

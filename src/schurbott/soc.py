@@ -3,10 +3,13 @@ semi-orthogonality, enumeration of the admissible labels and the Kummer count.
 
 All checks reduce questions about the kernels S^alpha Q^v on the fibre
 Grassmannian G(2,d) to sheaf cohomology of twisted Schur bundles, computed
-term by term through the Borel-Weil-Bott module.  The checkers record a
-full witness trace: one (q, summand weight, outcome) triple per bundle
-summand that had to vanish (or survive).  The trace is the only result:
-each verdict and Hom dimension is read from its records.
+term by term through the Borel-Weil-Bott module.  The summands of
+wedge^q N' (x) Ext, the fibre terms, do not depend on d; only the
+Borel-Weil-Bott verdict on each does, so a check builds the terms once
+(``fibre_terms``) and a report traces them on one G(2,d).  The checkers
+record a full witness trace: one (q, summand weight, outcome) triple per
+bundle summand that had to vanish (or survive).  The trace is the only
+result: each verdict and Hom dimension is read from its records.
 """
 
 from __future__ import annotations
@@ -96,24 +99,32 @@ def ext_decomposition(alpha, beta) -> RepElement:
     return tensor(RepElement.schur(2, a), dual(RepElement.schur(2, b)))
 
 
-def _trace_cohomology(d: int, ext: RepElement, top_q: int) -> list[ConditionRecord]:
-    """Witness trace of wedge^q N' (x) ext on G(2,d) for q = 0..top_q.
+def fibre_terms(ext: RepElement, top_q: int) -> list[tuple[int, Weight, int]]:
+    """(q, summand, multiplicity) of wedge^q N' (x) ext, q = 0..top_q, each q in the Schur order."""
+    return [
+        (q, w, c)
+        for q in range(top_q + 1)
+        for w, c in (ext if q == 0 else tensor(wedge_nprime(q), ext)).sorted_terms()
+    ]
+
+
+def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord]:
+    """Witness trace of ``fibre_terms`` on G(2,d).
 
     One Borel-Weil-Bott evaluation per summand, recorded once per unit of
-    its multiplicity, q by q and in the Schur order within each q.  The
-    trivial q = 0 summand carries the identity morphism, so it is the one
-    summand not required to vanish.  Verdicts are read from this trace:
-    every multiplicity is positive, so a cohomology degree vanishes exactly
-    when none of its records survives.
+    its multiplicity, in the order of the terms.  The trivial q = 0 summand
+    carries the identity morphism, so it is the one summand not required to
+    vanish.  Verdicts are read from this trace: every multiplicity is
+    positive, so a cohomology degree vanishes exactly when none of its
+    records survives.
     """
     g0 = trivial(d - 2)
     conditions: list[ConditionRecord] = []
-    for q in range(top_q + 1):
-        for w, c in (ext if q == 0 else tensor(wedge_nprime(q), ext)).sorted_terms():
-            outcome = bwb_single(d, 2, g0, w)
-            required_zero = q != 0 or not w.is_zero()
-            for _ in range(c):
-                conditions.append(ConditionRecord(q, w.entries, outcome, required_zero))
+    for q, w, c in terms:
+        outcome = bwb_single(d, 2, g0, w)
+        required_zero = q != 0 or not w.is_zero()
+        for _ in range(c):
+            conditions.append(ConditionRecord(q, w.entries, outcome, required_zero))
     return conditions
 
 
@@ -122,19 +133,27 @@ def _hom_dimension(conditions: list[ConditionRecord]) -> int:
     return sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
 
 
-def _self_ext_report(a: Weight, d: int, top_q: int, kind: str) -> VerificationReport:
-    """Pass iff Hom is one-dimensional and every other summand vanishes."""
-    conditions = _trace_cohomology(d, ext_decomposition(a, a), top_q)
+def self_ext_report(a: Weight, d: int, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
+    """From End(S^a Q^v)'s terms: pass iff Hom is one-dimensional and every other summand vanishes."""
+    conditions = _trace(d, terms)
     hom = _hom_dimension(conditions)
     ok = hom == 1 and all(c.outcome.is_zero for c in conditions if c.required_zero)
     return VerificationReport(ok, d, a, conditions=conditions, hom_dimension=hom, kind=kind)
+
+
+def semiorthogonal_report(a: Weight, b: Weight, d: int, terms: list[tuple[int, Weight, int]]) -> VerificationReport:
+    """From the terms of S^a Q^v (x) (S^b Q^v)^v: pass iff every record of the trace is zero."""
+    conditions = _trace(d, terms)
+    ok = all(c.outcome.is_zero for c in conditions)
+    return VerificationReport(ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal")
 
 
 def check_exceptional(alpha, d: int) -> VerificationReport:
     """Self-Exts of S^alpha Q^v on G(2,d): pass iff End = k in degree 0 only."""
     if d < 3:
         raise ValueError("exceptional check requires d >= 3")
-    return _self_ext_report(_box_label(alpha, d), d, 0, "exceptional")
+    a = _box_label(alpha, d)
+    return self_ext_report(a, d, fibre_terms(ext_decomposition(a, a), 0), "exceptional")
 
 
 def check_fully_faithful(alpha, d: int) -> VerificationReport:
@@ -147,7 +166,8 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     """
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
-    return _self_ext_report(_box_label(alpha, d), d, 4, "fully_faithful")
+    a = _box_label(alpha, d)
+    return self_ext_report(a, d, fibre_terms(ext_decomposition(a, a), 4), "fully_faithful")
 
 
 def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
@@ -163,11 +183,7 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    conditions = _trace_cohomology(d, ext_decomposition(a, b), 4)
-    ok = all(c.outcome.is_zero for c in conditions)
-    return VerificationReport(
-        ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal"
-    )
+    return semiorthogonal_report(a, b, d, fibre_terms(ext_decomposition(a, b), 4))
 
 
 def box_partitions(d: int) -> list[Weight]:

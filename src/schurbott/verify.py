@@ -2,14 +2,18 @@
 
 Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
-check is a strict equality with zero tolerance.
+check is a strict equality with zero tolerance.  The checks that sweep d
+walk each label or pair once: its fibre terms (``soc.fibre_terms``) do not
+depend on d, so only Borel-Weil-Bott runs per d.  The failure reported is
+still the one a d-major loop meets first: the least d, then self-Exts
+before backward pairs, then the partition order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import bundle_calculus as bc
 from . import rep_ring as rr
@@ -59,54 +63,69 @@ def check_kummer(d_max: int) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
+def _least_d(labels_at: Callable[[int], list[Weight]], dims: range) -> dict[Weight, int]:
+    """The least d in dims at which each label is listed; the lists grow with d."""
+    return {a: d for d in reversed(dims) for a in labels_at(d)}
+
+
 def check_fully_faithful(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["fully-faithful"], d_max)
-    for d in range(5, top + 1):
-        for a in soc.enumerate_ff(d):
-            report = soc.check_fully_faithful(a, d)
+    least = _least_d(soc.enumerate_ff, range(5, top + 1))
+    fail_d, fail = top + 1, ""
+    for a in soc.enumerate_ff(top):
+        terms = soc.fibre_terms(soc.ext_decomposition(a, a), 4)
+        for d in range(least[a], fail_d):
             total += 1
-            if not report.verdict:
-                return CheckResult("fully-faithful", False, f"d={d}, alpha={a} failed")
+            if not soc.self_ext_report(a, d, terms, "fully_faithful").verdict:
+                fail_d, fail = d, f"d={d}, alpha={a} failed"
+                break
+    if fail:
+        return CheckResult("fully-faithful", False, fail)
     return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
 
 
-def _bounded_pairs(d: int) -> Iterator[tuple[Weight, Weight]]:
-    labels = soc.box_partitions(d)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if a.entries[0] - b.entries[1] <= d - 5:
-                yield a, b
-
-
 def check_semiorthogonal(d_max: int) -> CheckResult:
+    """The closed form against LR for every pair of the box, each bounded pair swept from it.
+
+    A pair is bounded at d when both labels are in the box and
+    alpha_1 - beta_2 <= d-5.  An LR mismatch is reported before any sweep failure.
+    """
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
+    least = _least_d(soc.box_partitions, range(5, top + 1))
+    sos = {d: set(soc.enumerate_sos(d)) for d in range(5, top + 1)}
+    seen_sos_pairs = dict.fromkeys(sos, 0)
+    fail_d, fail = top + 1, ""
     # This cap is the largest of the kernel checks, so the box at top holds
     # every (alpha, beta) that any of them passes through ext_decomposition.
     labels = soc.box_partitions(top)
+    elements = [rr.RepElement.schur(2, a) for a in labels]
+    duals = [rr.dual(e) for e in elements]
     for i, a in enumerate(labels):
-        for b in labels[i:]:
+        for j in range(i, len(labels)):
+            b = labels[j]
             # lr_tensor, not tensor: tensor is the closed form itself at rank 2
             closed = soc.ext_decomposition(a, b)
-            via_ring = rr.lr_tensor(rr.RepElement.schur(2, a), rr.dual(rr.RepElement.schur(2, b)))
+            via_ring = rr.lr_tensor(elements[i], duals[j])
             if closed != via_ring:
                 return CheckResult(
                     "semi-orthogonality", False, f"Ext({b},{a}): closed form {closed} vs LR {via_ring}"
                 )
-    for d in range(5, top + 1):
-        sos = set(soc.enumerate_sos(d))
-        seen_sos_pairs = 0
-        for a, b in _bounded_pairs(d):
-            report = soc.check_semiorthogonal(a, b, d)
-            total += 1
-            if a in sos and b in sos:
-                seen_sos_pairs += 1
-            if not report.verdict:
-                return CheckResult(
-                    "semi-orthogonality", False, f"d={d}, {a} before {b} failed"
-                )
-        if seen_sos_pairs != comb(len(sos), 2):
+            bounded = range(max(least[a], least[b], a.entries[0] - b.entries[1] + 5), fail_d)
+            if j == i or not bounded:
+                continue  # a label with itself is compared only
+            terms = soc.fibre_terms(closed, 4)
+            for d in bounded:
+                total += 1
+                seen_sos_pairs[d] += a in sos[d] and b in sos[d]
+                if not soc.semiorthogonal_report(a, b, d, terms).verdict:
+                    fail_d, fail = d, f"d={d}, {a} before {b} failed"
+                    break
+    for d, n in seen_sos_pairs.items():
+        if d == fail_d:
+            return CheckResult("semi-orthogonality", False, fail)
+        if n != comb(len(sos[d]), 2):
             return CheckResult(
                 "semi-orthogonality", False, f"d={d}: sequence pairs not all covered"
             )
@@ -116,19 +135,27 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
 def check_exceptional_collection(d_max: int) -> CheckResult:
     total = 0
     top = min(D_CAPS["exceptional-collection"], d_max)
-    for d in range(3, top + 1):
-        labels = soc.box_partitions(d)
-        for a in labels:
-            if not soc.check_exceptional(a, d).verdict:
-                return CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                coh = cohomology(BundleExpr.from_qdual(d, 2, soc.ext_decomposition(a, b)))
+    least = _least_d(soc.box_partitions, range(3, top + 1))
+    fail_d, fail = top + 1, ""
+    labels = soc.box_partitions(top)
+    # every self-Ext first: at one d, a d-major loop meets them before any backward pair
+    for a in labels:
+        terms = soc.fibre_terms(soc.ext_decomposition(a, a), 0)
+        for d in range(least[a], fail_d):
+            if not soc.self_ext_report(a, d, terms, "exceptional").verdict:
+                fail_d, fail = d, f"d={d}, alpha={a}"
+                break
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            ext = soc.ext_decomposition(a, b)
+            for d in range(max(least[a], least[b]), fail_d):
+                coh = cohomology(BundleExpr.from_qdual(d, 2, ext))
                 if not coh.is_zero():
-                    return CheckResult(
-                        "exceptional-collection", False, f"d={d}: backward Ext {a} before {b}: {coh}"
-                    )
+                    fail_d, fail = d, f"d={d}: backward Ext {a} before {b}: {coh}"
+                    break
                 total += 1
+    if fail:
+        return CheckResult("exceptional-collection", False, fail)
     return CheckResult(
         "exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{top}"
     )

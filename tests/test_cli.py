@@ -56,6 +56,13 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "ext", "--rank", str(MAX_LABEL_D), "--power", "1", column)
         assert code == 0 and out.strip() == f"S({column})"
 
+    def test_nearly_full_column_at_the_rank_bound(self, capsys):
+        # 400 monomials: every Gelfand-Tsetlin branch ends in a full column,
+        # which is divided out instead of walked row by row
+        column = ",".join(["1"] * (MAX_LABEL_D - 1) + ["0"])
+        code, out, _ = run(capsys, "schur", "ext", "--rank", str(MAX_LABEL_D), "--power", "1", column)
+        assert code == 0 and out.strip() == f"S({column})"
+
     def test_tensor_needs_two_weights_is_usage_error(self, capsys):
         code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
         assert code == 2 and "two weights" in err

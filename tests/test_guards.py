@@ -1,5 +1,6 @@
 """Package-wide guards: checks that survive ``python -O`` (which strips asserts),
-a public surface that imports cleanly, and a cold start that stays light."""
+a public surface that imports cleanly, and a cold start and a suite run that
+stay light."""
 
 import ast
 import json
@@ -54,10 +55,25 @@ def test_verify_paper_runs_the_same_under_dash_o():
     outputs = []
     for flags in (["-O"], []):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "schurbott", "--format", "json", "verify-paper", "--d-max", "7"],
+            [sys.executable, *flags, "-m", "schurbott", "--format", "json", "verify-paper", "--d-max", "9"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
         outputs.append(proc.stdout)
     assert [r["verdict"] for r in json.loads(outputs[0])] == ["pass"] * 10
     assert outputs[0] == outputs[1]
+
+
+def test_run_all_streams_its_sweeps():
+    # the d-sweeping checks build each label's or pair's fibre terms once and
+    # keep one at a time: the suite peaks near 0.7 MB, and a table of every
+    # pair's terms would add about 2.3 MB
+    code = (
+        "import tracemalloc; from schurbott import verify; tracemalloc.start(); "
+        "verify.run_all(12); print(tracemalloc.get_traced_memory()[1])"
+    )
+    src = str(PACKAGE_DIR.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1_400_000

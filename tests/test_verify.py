@@ -4,7 +4,8 @@ import pytest
 
 from schurbott import bundle_calculus as bc
 from schurbott import rep_ring as rr
-from schurbott import soc, verify
+from schurbott import bwb, soc, verify
+from schurbott.bwb import BWBOutcome
 from schurbott.partitions import Weight
 from schurbott.rep_ring import CharPoly, RepElement
 
@@ -71,3 +72,104 @@ def test_oracle_equivalence_fails_on_a_character_missing_one_monomial(monkeypatc
     result = verify.check_oracle_equivalence(12)
     assert not result.passed
     assert result.detail == "LR vs character at (2, 1, 0) x (2, 1, 0)"
+
+
+def _surviving_when(real, survives):
+    """``real`` with a non-zero outcome wherever ``survives(d, Q-dual entries)`` holds."""
+
+    def bwb_single(d, k, gamma, delta):
+        if survives(d, tuple(delta.entries if isinstance(delta, Weight) else delta)):
+            return BWBOutcome(degree=0, weight=Weight((0,) * d))
+        return real(d, k, gamma, delta)
+
+    return bwb_single
+
+
+def test_semiorthogonality_reports_the_least_d_then_the_first_pair(monkeypatch):
+    # (1,-1) sits in the trace of (4,2) before (3,3) at d = 6..9, and of
+    # (7,5) before (6,6), the earlier pair in the partition order, only at d = 9
+    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 6 and w == (1, -1)))
+    result = verify.check_semiorthogonal(9)
+    assert not result.passed
+    assert result.detail == "d=6, (4,2) before (3,3) failed"
+
+
+def test_semiorthogonality_reports_a_closed_form_mismatch_before_any_sweep_failure(monkeypatch):
+    # every bounded pair fails the sweep, and (0,0) before (0,0) is the
+    # last pair the closed form is compared at, so the mismatch must still win
+    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: True))
+    lr_tensor, last = rr.lr_tensor, RepElement.schur(2, (0, 0))
+
+    def off_by_one(a, b):
+        return lr_tensor(a, b) + (RepElement.one(2) if a == last and b == last else RepElement.zero(2))
+
+    monkeypatch.setattr(rr, "lr_tensor", off_by_one)
+    result = verify.check_semiorthogonal(9)
+    assert not result.passed
+    assert result.detail == "Ext((0,0),(0,0)): closed form S(0,0) vs LR 2*S(0,0)"
+
+
+def test_fully_faithful_reports_the_least_d_then_the_first_label(monkeypatch):
+    # (1,-1) sits in End of (4,3) at d = 6..9, and of (7,6), the earlier
+    # label in the partition order, only at d = 9
+    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 6 and w == (1, -1)))
+    result = verify.check_fully_faithful(9)
+    assert not result.passed
+    assert result.detail == "d=6, alpha=(4,3) failed"
+
+
+def test_exceptional_collection_reports_a_self_ext_before_a_backward_pair(monkeypatch):
+    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 5 and w == (1, -1)))
+    result = verify.check_exceptional_collection(8)
+    assert not result.passed
+    assert result.detail == "d=5, alpha=(3,2)"
+    # a backward Ext surviving at the same d comes second, at a lower d first
+    monkeypatch.setattr(bwb, "bwb_single", _surviving_when(bwb.bwb_single, lambda d, w: d >= 5))
+    assert verify.check_exceptional_collection(8).detail == "d=5, alpha=(3,2)"
+    monkeypatch.setattr(bwb, "bwb_single", _surviving_when(bwb.bwb_single, lambda d, w: d >= 4))
+    result = verify.check_exceptional_collection(8)
+    assert not result.passed
+    assert result.detail == "d=4: backward Ext (2,2) before (2,1): H^0 = S(0,0,0,0)"
+
+
+def _recorded(monkeypatch, name):
+    """Record (d, alpha, beta, report JSON) of every report verify builds by ``soc.<name>``."""
+    seen, build = [], getattr(soc, name)
+
+    def recording(*args):
+        report = build(*args)
+        seen.append((report.d, report.alpha, report.beta, report.to_json()))
+        return report
+
+    monkeypatch.setattr(soc, name, recording)
+    return seen
+
+
+def test_pair_first_semiorthogonality_matches_the_single_d_reports(monkeypatch):
+    seen = _recorded(monkeypatch, "semiorthogonal_report")
+    assert verify.check_semiorthogonal(9).passed
+    # pairs come in the partition order, so a stable sort by d is the d-major order
+    got = sorted(seen, key=lambda t: t[0])
+    monkeypatch.undo()
+    expected = []
+    for d in range(5, 10):
+        labels = soc.box_partitions(d)
+        for i, a in enumerate(labels):
+            for b in labels[i + 1 :]:
+                if a.entries[0] - b.entries[1] <= d - 5:
+                    expected.append((d, a, b, soc.check_semiorthogonal(a, b, d).to_json()))
+    assert got == expected and len(expected) == 567
+
+
+def test_label_first_self_exts_match_the_single_d_reports(monkeypatch):
+    seen = _recorded(monkeypatch, "self_ext_report")
+    assert verify.check_fully_faithful(9).passed
+    ff = sorted(seen, key=lambda t: t[0])
+    seen.clear()
+    assert verify.check_exceptional_collection(8).passed
+    exceptional = sorted(seen, key=lambda t: t[0])
+    monkeypatch.undo()
+    expected = [(d, a, None, soc.check_fully_faithful(a, d).to_json()) for d in range(5, 10) for a in soc.enumerate_ff(d)]
+    assert ff == expected and len(expected) == 80
+    expected = [(d, a, None, soc.check_exceptional(a, d).to_json()) for d in range(3, 9) for a in soc.box_partitions(d)]
+    assert exceptional == expected and len(expected) == 83
