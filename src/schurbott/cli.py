@@ -26,6 +26,11 @@ from .partitions import Weight, parse_weight
 #: that is measured at 0.1-0.7 s from rank 2 to 100, and at 1.2 s where
 #: decomposing the result dominates (one long row at rank 2, m = 2).
 MAX_POWER_ADDITIONS = 1_000_000
+#: Largest Weyl dimension of the smaller factor of `schur tensor`, which bounds
+#: the product's total multiplicity (Brauer-Klimyk).  Near the bound that is
+#: measured at 0.2-0.9 s from rank 2 to 4 and 0.1-1.2 s from rank 5 to 12;
+#: past rank 12 the Littlewood-Richardson search also grows with the rank.
+MAX_TENSOR_DIM = 50_000
 #: Largest --d of `bwb`, `check-*`, `enumerate` and `kummer`, and largest
 #: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus
 #: 0.01-0.05 s per Weyl dimension a check reports at that size.
@@ -64,6 +69,9 @@ def cmd_schur(args: argparse.Namespace) -> int:
         raise ValueError(f"schur {args.operation} needs exactly {count}")
     elements = [rr.RepElement.schur(args.rank, w) for w in args.weights]
     if args.operation == "tensor":
+        dim = min(e.dimension() for e in elements)
+        if dim > MAX_TENSOR_DIM:
+            raise ValueError(f"the smaller factor of tensor has dimension {dim}, over {MAX_TENSOR_DIM}")
         result = rr.tensor(elements[0], elements[1])
     elif args.operation == "dual":
         result = rr.dual(elements[0])
@@ -185,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True, help=f"rank of the weights, at most {MAX_LABEL_D}")
     p.add_argument("--power", type=int, default=1,
                    help=f"power m for sym/ext: at most {MAX_POWER_ADDITIONS} additions, rank x m per combination")
-    p.add_argument("weights", type=_weight_arg, nargs="+")
+    p.add_argument("weights", type=_weight_arg, nargs="+",
+                   help=f"tensor: Weyl dimension at most {MAX_TENSOR_DIM} for the smaller factor")
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("bwb", help="cohomology of one homogeneous bundle on G(k,d)")

@@ -1,25 +1,24 @@
 """The representation ring of GL_r in the Schur basis.
 
-Products at rank 2 are the Clebsch-Gordan closed form; at every other rank
-they are computed by the Littlewood-Richardson rule (negative entries are
-routed through a determinant shift), which builds only LR tableaux: each
-letter is placed as a horizontal strip bounded row by row by the previous
-letter, so the lattice condition prunes as it places.  A smaller factor
-that is taller than it is wide is multiplied through its conjugate, which
-has fewer letters to place.  ``lr_tensor`` runs the
-Littlewood-Richardson rule at any rank, rank 2 included, and is the oracle
-the closed form is checked against; it passes the larger factor first, so
-both orders of a pair share one cached computation.  ``verify`` checks the
-rule against the Brauer-Klimyk formula, which reads one factor's weights
-from ``schur_char`` and never places a tableau.  Symmetric/exterior powers
-and general plethysms go through an independent character-polynomial
-oracle: expand into a multiset of weight monomials by the Gelfand-Tsetlin
-branching rule, apply the elementary or complete symmetric function, and
-peel the result back into Schur terms, each highest weight once.  A character
-stores its coefficients as a sorted tuple of (exponent vector, coefficient)
-pairs; ``schur_char`` builds each weight's character once and hands out the
-same object on every later call, so characters are never mutated.  Weyl
-dimensions are exact integer products, reduced row by row.
+``tensor`` is the one product.  At rank 2 it is the Clebsch-Gordan closed
+form; at every other rank it is the Littlewood-Richardson rule, which
+builds only LR tableaux: each letter is placed as a horizontal strip
+bounded row by row by the previous letter, so the lattice condition prunes
+as it places.  Each weight is first shifted by a power of the determinant
+to a partition with an empty last row, both factors are conjugated when
+that makes a smaller search, and the larger factor is passed first, so
+both orders of a pair share one cached computation.
+``verify`` checks both routes against the Brauer-Klimyk formula, which
+reads one factor's weights from ``schur_char`` and never places a tableau.
+Symmetric/exterior powers and general plethysms go through an independent
+character-polynomial oracle: expand into a multiset of weight monomials by
+the Gelfand-Tsetlin branching rule, apply the elementary or complete
+symmetric function, and peel the result back into Schur terms, each highest
+weight once.  A character stores its coefficients as a sorted tuple of
+(exponent vector, coefficient) pairs; ``schur_char`` builds each weight's
+character once and hands out the same object on every later call, so
+characters are never mutated.  Weyl dimensions are exact integer products,
+reduced row by row.
 """
 
 from __future__ import annotations
@@ -83,39 +82,59 @@ def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _lattice_strips(
-    shape: tuple[int, ...], m: int, above: tuple[int, ...] | None, max_rows: int, width: int
+    shape: tuple[int, ...], m: int, above: tuple[int, ...] | None, later: tuple[int, ...], max_rows: int, width: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Ways to add m boxes of the next letter to ``shape`` that keep an LR tableau.
 
     Returns (new shape, boxes added per row) pairs.  The boxes form a
     horizontal strip, with at most max_rows rows and at most ``width`` boxes
     in the first row.  ``above`` is the previous letter's count per row, None
-    for letter 1.  A row's letters weakly increase, so the reverse reading
-    word meets a row's new letters before its previous ones: it stays a
-    lattice word exactly when, for every row r, the new letters in rows <= r
-    never outnumber the previous letter's in rows < r.
+    for letter 1, and ``later`` the counts of the letters still to place.  A
+    row's letters weakly increase, so the reverse reading word meets a row's
+    new letters before its previous ones: it stays a lattice word exactly
+    when, for every row r, the new letters in rows <= r never outnumber the
+    previous letter's in rows < r.  So the letter placed s letters later fits
+    in rows < max_rows only if at least as many of this letter's boxes are
+    in rows < max_rows - s.
+
+    Only the open rows, row 0 and each row shorter than the one above it,
+    can take a box, so the search visits those alone: a row between two
+    open rows takes none, and its conditions follow from the open row before
+    it.  Each open row takes at least the boxes the rows after it cannot.
     """
     base = list(shape) + ([0] if len(shape) < max_rows else [])
-    last = len(base)
-    counts = [0] * last
+    rows = [0] + [j for j in range(1, len(base)) if base[j] < base[j - 1]]
+    # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
+    upper = [width - base[0]] + [base[j - 1] - base[j] for j in rows[1:]]
+    # cover[k]: the previous letter's boxes in the rows above rows[k], which
+    # the new ones up to rows[k] may not outnumber; letter 1 has no such bound
+    if above is None:
+        cover = [m] * len(rows)
+    else:
+        before = list(itertools.accumulate(above, initial=0))
+        cover = [before[j] for j in rows]
+        if cover[-1] < m:  # too few above the last open row: no placement completes
+            return []
+    # left[k]: the most boxes the open rows after rows[k] may take, within
+    # their strip room and leaving the later letters room below this one
+    left = [0] * len(rows)
+    for k in range(len(rows) - 2, -1, -1):
+        s = max_rows - rows[k + 1]
+        left[k] = min(left[k + 1] + upper[k + 1], m - later[s - 1] if s <= len(later) else m)
+    counts = [0] * len(base)
     out = []
 
-    def rec(j: int, remaining: int, room: int) -> None:
+    def rec(k: int, remaining: int) -> None:
         if remaining == 0:
             out.append((_stripped([b + c for b, c in zip(base, counts)]), tuple(counts)))
             return
-        if j == last:
-            return
-        if above is not None and j:
-            room += above[j - 1]
-        # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
-        upper = width - base[0] if j == 0 else base[j - 1] - base[j]
-        for add in range(min(upper, remaining, room) + 1):
+        j = rows[k]
+        for add in range(max(0, remaining - left[k]), min(upper[k], remaining, cover[k] - m + remaining) + 1):
             counts[j] = add
-            rec(j + 1, remaining - add, room - add)
+            rec(k + 1, remaining - add)
         counts[j] = 0
 
-    rec(0, m, m if above is None else 0)
+    rec(0, m)
     return out
 
 
@@ -129,14 +148,15 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
     letters are placed one strip at a time by ``_lattice_strips``, each
     bounded by the previous letter's rows, so every complete placement is one
     LR tableau of shape nu/alpha and content beta.  The coefficients are
-    invariant under conjugating all three shapes, so when beta has fewer
-    columns than rows both factors are conjugated: beta_1 letters are placed
-    instead of len(beta), the row cap becomes a cap on the first row, and
-    each shape is conjugated back at the end.
+    invariant under conjugating all three shapes, so both factors are
+    conjugated when that makes the search smaller, in letters times rows:
+    beta_1 letters in up to alpha_1 + beta_1 rows, against len(beta)
+    letters in up to max_rows.  The row cap then becomes a cap on the first
+    row, and each shape is conjugated back at the end.
     """
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha  # symmetric; iterate over the smaller factor
-    conjugated = bool(beta) and beta[0] < len(beta)
+    conjugated = bool(beta) and beta[0] * (alpha[0] + beta[0]) < len(beta) * min(max_rows, len(alpha) + len(beta))
     if conjugated:
         alpha, beta = _conjugate(alpha), _conjugate(beta)
         rows, width = len(alpha) + len(beta), max_rows
@@ -148,7 +168,7 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
         if i == len(beta):
             results[shape] += 1
             return
-        for new_shape, counts in _lattice_strips(shape, beta[i], above, rows, width):
+        for new_shape, counts in _lattice_strips(shape, beta[i], above, beta[i + 1 :], rows, width):
             place(i + 1, new_shape, counts)
 
     place(0, alpha, None)
@@ -265,10 +285,28 @@ class RepElement:
 
 
 def tensor(a: RepElement, b: RepElement) -> RepElement:
-    """Bilinear product: Clebsch-Gordan at rank 2, ``lr_tensor`` at any other rank."""
+    """Bilinear product: Clebsch-Gordan at rank 2, Littlewood-Richardson at any other rank.
+
+    For LR, each weight is shifted by a power of the determinant into a
+    partition with an empty last row, the partitions are multiplied, and the
+    result is twisted back; shapes with more than ``rank`` rows vanish.
+    """
     if a.rank == b.rank == 2:
         return _clebsch_gordan(a, b)
-    return lr_tensor(a, b)
+    a._check(b)
+    rank = a.rank
+    b_shapes = [(_partition_shift(wb), cb) for wb, cb in b.terms.items()]
+    out: dict[Weight, int] = {}
+    for wa, ca in a.terms.items():
+        pa, ma = _partition_shift(wa)
+        for (pb, mb), cb in b_shapes:
+            shift = ma + mb
+            # larger factor first, so both orders of a pair share one cache entry
+            key = (pb, pa) if sum(pb) > sum(pa) else (pa, pb)
+            for nu, mult in lr_coefficients(*key, rank):
+                w = Weight(tuple(e - shift for e in nu) + (-shift,) * (rank - len(nu)))
+                out[w] = out.get(w, 0) + ca * cb * mult
+    return RepElement(rank, out)
 
 
 def _clebsch_gordan(a: RepElement, b: RepElement) -> RepElement:
@@ -288,32 +326,13 @@ def _clebsch_gordan(a: RepElement, b: RepElement) -> RepElement:
     return RepElement(2, {Weight(e): c for e, c in out.items() if c})
 
 
-def lr_tensor(a: RepElement, b: RepElement) -> RepElement:
-    """Bilinear extension of the Littlewood-Richardson product, at any rank.
-
-    Weights with negative entries are shifted into partitions, multiplied,
-    and twisted back; shapes with more than ``rank`` rows vanish.  At rank 2
-    this is the oracle for the Clebsch-Gordan route of ``tensor``.
-    """
-    a._check(b)
-    rank = a.rank
-    b_shapes = [(_partition_shift(wb), cb) for wb, cb in b.terms.items()]
-    out: dict[Weight, int] = {}
-    for wa, ca in a.terms.items():
-        pa, ma = _partition_shift(wa)
-        for (pb, mb), cb in b_shapes:
-            shift = ma + mb
-            # larger factor first, so both orders of a pair share one cache entry
-            key = (pb, pa) if sum(pb) > sum(pa) else (pa, pb)
-            for nu, mult in lr_coefficients(*key, rank):
-                w = Weight(tuple(e - shift for e in nu) + (-shift,) * (rank - len(nu)))
-                out[w] = out.get(w, 0) + ca * cb * mult
-    return RepElement(rank, out)
-
-
 def _partition_shift(w: Weight) -> tuple[tuple[int, ...], int]:
-    """(p, m): the least m >= 0 making w + m a partition p, trailing zeros dropped."""
-    m = -min(0, w.entries[-1])
+    """(p, m) with m = -w_r: the partition w + m, trailing zeros dropped.
+
+    Its last row is empty, so p has no full column: a weight near a power of
+    the determinant, such as (n,n,n), is a small shape however large n is.
+    """
+    m = -w.entries[-1]
     return _stripped([e + m for e in w.entries]), m
 
 
@@ -418,7 +437,7 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
 
 @lru_cache(maxsize=None)
 def schur_char(w: Weight) -> CharPoly:
-    """Character of Sigma^w as a Laurent polynomial (determinant shift for negatives).
+    """Character of Sigma^w as a Laurent polynomial, through the determinant shift.
 
     Memoised per weight; callers share the returned object.  Subtracting m
     from every exponent keeps the monomials sorted and their coefficients

@@ -92,7 +92,7 @@ def ext_decomposition(alpha, beta) -> RepElement:
     g = 0..min(width(alpha), width(beta)) of
     S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).
     ``verify.check_semiorthogonal`` (semi-orthogonality) cross-checks it
-    against the Littlewood-Richardson product over the kernel box.
+    against the Brauer-Klimyk expansion over the kernel box.
     """
     a = _as_label_weight(alpha)
     b = _as_label_weight(beta)

@@ -86,10 +86,13 @@ def check_fully_faithful(d_max: int) -> CheckResult:
 
 
 def check_semiorthogonal(d_max: int) -> CheckResult:
-    """The closed form against LR for every pair of the box, each bounded pair swept from it.
+    """The closed form against Brauer-Klimyk for every pair of the box, each bounded pair swept from it.
 
-    A pair is bounded at d when both labels are in the box and
-    alpha_1 - beta_2 <= d-5.  An LR mismatch is reported before any sweep failure.
+    ``soc.ext_decomposition(a, b)`` must equal ``_brauer_klimyk(a, b.dual())``,
+    the expansion that ``oracle-equivalence`` also reads, which shares no
+    code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
+    are in the box and alpha_1 - beta_2 <= d-5.  A closed-form mismatch is
+    reported before any sweep failure.
     """
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
@@ -100,17 +103,15 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     # This cap is the largest of the kernel checks, so the box at top holds
     # every (alpha, beta) that any of them passes through ext_decomposition.
     labels = soc.box_partitions(top)
-    elements = [rr.RepElement.schur(2, a) for a in labels]
-    duals = [rr.dual(e) for e in elements]
     for i, a in enumerate(labels):
         for j in range(i, len(labels)):
             b = labels[j]
-            # lr_tensor, not tensor: tensor is the closed form itself at rank 2
             closed = soc.ext_decomposition(a, b)
-            via_ring = rr.lr_tensor(elements[i], duals[j])
-            if closed != via_ring:
+            expected = _brauer_klimyk(a, b.dual())
+            if closed.terms != expected:
                 return CheckResult(
-                    "semi-orthogonality", False, f"Ext({b},{a}): closed form {closed} vs LR {via_ring}"
+                    "semi-orthogonality", False,
+                    f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
                 )
             bounded = range(max(least[a], least[b], a.entries[0] - b.entries[1] + 5), fail_d)
             if j == i or not bounded:

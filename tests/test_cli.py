@@ -10,8 +10,8 @@ import schurbott
 from schurbott import cli, soc
 from schurbott import rep_ring as rr
 from schurbott.bwb import BWBOutcome
-from schurbott.cli import MAX_LABEL_D, MAX_POWER_ADDITIONS, main
-from schurbott.partitions import Weight
+from schurbott.cli import MAX_LABEL_D, MAX_POWER_ADDITIONS, MAX_TENSOR_DIM, main
+from schurbott.partitions import Weight, parse_weight
 
 
 def run(capsys, *argv):
@@ -62,6 +62,12 @@ class TestSchur:
         column = ",".join(["1"] * (MAX_LABEL_D - 1) + ["0"])
         code, out, _ = run(capsys, "schur", "ext", "--rank", str(MAX_LABEL_D), "--power", "1", column)
         assert code == 0 and out.strip() == f"S({column})"
+
+    def test_tensor_of_a_tall_factor_and_a_long_row(self, capsys):
+        # conjugated, this is 1 letter in 1202 rows, a recursion past Python's
+        # limit; the LR search places 2 letters in 3 rows instead
+        code, out, err = run(capsys, "schur", "tensor", "--rank", "3", "1,1,0", "1200,0,0")
+        assert code == 0 and err == "" and out.strip() == "S(1201,1,0) + S(1200,1,1)"
 
     def test_tensor_needs_two_weights_is_usage_error(self, capsys):
         code, _, err = run(capsys, "schur", "tensor", "--rank", "2", "1,0")
@@ -287,6 +293,7 @@ def computed(monkeypatch):
         (soc, "enumerate_sos", []),
         (rr, "sym_power", rr.RepElement.zero(2)),
         (rr, "ext_power", rr.RepElement.zero(2)),
+        (rr, "tensor", rr.RepElement.zero(2)),
         (cli, "bwb_single", BWBOutcome(repeated_value=1)),
         (soc, "check_exceptional", soc.VerificationReport(True, 5, Weight((0, 0)))),
         (soc, "check_fully_faithful", soc.VerificationReport(True, 5, Weight((0, 0)))),
@@ -332,6 +339,21 @@ class TestSizeGuards:
         assert code == 0 and computed == [f"{operation}_power"]
 
     @pytest.mark.parametrize(
+        "rank, largest, refused",
+        [("2", "49999,0", "50000,0"), ("3", "314,0,0", "315,0,0"), ("4", "64,0,0,0", "65,0,0,0")],
+    )
+    def test_tensor_bound(self, capsys, computed, rank, largest, refused):
+        # the smaller factor's Weyl dimension, in either position: 50000 and
+        # 50001 at rank 2, C(316,2) and C(317,2) at rank 3, C(67,3) and C(68,3) at rank 4
+        assert rr.weyl_dim(parse_weight(largest)) <= MAX_TENSOR_DIM < rr.weyl_dim(parse_weight(refused))
+        wide = ",".join(["100000"] + ["0"] * (int(rank) - 1))
+        for pair in ((refused, wide), (wide, refused)):
+            code, _, err = run(capsys, "schur", "tensor", "--rank", rank, *pair)
+            assert code == 2 and f"over {MAX_TENSOR_DIM}" in err and computed == []
+        code, _, _ = run(capsys, "schur", "tensor", "--rank", rank, wide, largest)
+        assert code == 0 and computed == ["tensor"]
+
+    @pytest.mark.parametrize(
         "operation, weights",
         [("dim", ["0"]), ("dual", ["0"]), ("sym", ["0"]), ("ext", ["0"]), ("tensor", ["0", "0"])],
     )
@@ -356,6 +378,7 @@ class TestSizeGuards:
             assert f"at most {MAX_LABEL_D}" in out
             if command == "schur":
                 assert f"at most {MAX_POWER_ADDITIONS}" in out
+                assert f"at most {MAX_TENSOR_DIM}" in out
 
 
 class TestModuleEntryPoint:

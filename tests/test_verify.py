@@ -52,15 +52,39 @@ def test_oracle_equivalence_fails_on_one_wrong_ordered_product(monkeypatch, wron
     assert result.detail == f"LR vs character at {wrong[0]} x {wrong[1]}"
 
 
-def test_brauer_klimyk_equals_lr_tensor_with_negative_entries():
+def test_brauer_klimyk_equals_tensor_with_negative_entries():
+    # Clebsch-Gordan at rank 2, Littlewood-Richardson at the other ranks
     n = 0
     for rank, lo, hi in ((1, -4, 4), (2, -3, 3), (3, -2, 2), (4, -1, 2)):
         weights = [Weight(e) for e in product(range(hi, lo - 1, -1), repeat=rank) if list(e) == sorted(e, reverse=True)]
         for a, b in product(weights, repeat=2):
-            expected = rr.lr_tensor(RepElement.schur(rank, a), RepElement.schur(rank, b)).terms
+            expected = rr.tensor(RepElement.schur(rank, a), RepElement.schur(rank, b)).terms
             assert verify._brauer_klimyk(a, b) == expected, (a, b)
             n += 1
     assert n == 3315
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # long rows: the strip search's last open row takes every box left
+        ((40, 20, 0), (30, 10, 0)),
+        # a power of the determinant is an empty shape, however large
+        ((10000, 10000, 10000), (30000, 0, 0)),
+        # later letters need the rows below: the row cap prunes the search
+        ((2, 0, 0, 0, 0, 0, 0, -2), (80, 70, 60, 50, 40, 30, 20, 10)),
+        ((1, 1, 0, 0, 0, -1), (50, 40, 30, 20, 10, 0)),
+        # a tall factor against one long row: more rows than the recursion limit
+        ((1,) * 399 + (0,), (2000,) + (0,) * 399),
+    ],
+    ids=["long-rows", "determinant", "row-cap-8", "row-cap-6", "deep-column"],
+)
+def test_brauer_klimyk_equals_tensor_past_the_small_box(a, b):
+    rank = len(a)
+    x, y = RepElement.schur(rank, a), RepElement.schur(rank, b)
+    expected = verify._brauer_klimyk(Weight(a), Weight(b))
+    assert rr.tensor(x, y).terms == expected
+    assert rr.tensor(y, x).terms == expected
 
 
 def test_oracle_equivalence_fails_on_a_character_missing_one_monomial(monkeypatch):
@@ -98,15 +122,18 @@ def test_semiorthogonality_reports_a_closed_form_mismatch_before_any_sweep_failu
     # every bounded pair fails the sweep, and (0,0) before (0,0) is the
     # last pair the closed form is compared at, so the mismatch must still win
     monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: True))
-    lr_tensor, last = rr.lr_tensor, RepElement.schur(2, (0, 0))
+    brauer_klimyk, last = verify._brauer_klimyk, Weight((0, 0))
 
     def off_by_one(a, b):
-        return lr_tensor(a, b) + (RepElement.one(2) if a == last and b == last else RepElement.zero(2))
+        expected = brauer_klimyk(a, b)
+        if a == last and b == last:
+            expected[last] += 1
+        return expected
 
-    monkeypatch.setattr(rr, "lr_tensor", off_by_one)
+    monkeypatch.setattr(verify, "_brauer_klimyk", off_by_one)
     result = verify.check_semiorthogonal(9)
     assert not result.passed
-    assert result.detail == "Ext((0,0),(0,0)): closed form S(0,0) vs LR 2*S(0,0)"
+    assert result.detail == "Ext((0,0),(0,0)): closed form S(0,0) vs Brauer-Klimyk 2*S(0,0)"
 
 
 def test_fully_faithful_reports_the_least_d_then_the_first_label(monkeypatch):
