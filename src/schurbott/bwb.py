@@ -16,6 +16,11 @@ both off the two parts without building the d-tuple.  The trivial-K
 vanishing rule is its special case: a trivial K-part's values are exactly
 k+1..d, so the bundle's cohomology vanishes iff some delta_i + k - i lies in
 that interval, and ``bwb_single`` checks that first, from the Q-part alone.
+Only d bounds the interval, so the d at which such a bundle vanishes form an
+up-set {d >= T}: T is the least value delta_i + k - i above k, that is over
+the i with delta_i > i, and there is no T when no such i exists
+(``vanishing_threshold``).  ``bwb_single``'s witness stays the first such
+value in the interval, which need not be T.
 """
 
 from __future__ import annotations
@@ -93,6 +98,16 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     rho = range(d, 0, -1)
     beta = tuple(v - r for v, r in zip(sorted(k_values + q_values, reverse=True), rho))
     return BWBOutcome(degree=degree, weight=Weight(beta))
+
+
+def vanishing_threshold(k: int, delta: Weight) -> int | None:
+    """The least d at which S^delta Q^v with trivial K vanishes on G(k,d), or None if it never does.
+
+    It vanishes on G(k,d) exactly when d is at least this threshold: the
+    trivial-K interval rule of the module docstring, read for every d at once.
+    """
+    values = [e + k - i for i, e in enumerate(delta.entries) if e > i]
+    return min(values) if values else None
 
 
 class BundleExpr(Value):

@@ -141,13 +141,6 @@ def self_ext_report(a: Weight, d: int, terms: list[tuple[int, Weight, int]], kin
     return VerificationReport(ok, d, a, conditions=conditions, hom_dimension=hom, kind=kind)
 
 
-def semiorthogonal_report(a: Weight, b: Weight, d: int, terms: list[tuple[int, Weight, int]]) -> VerificationReport:
-    """From the terms of S^a Q^v (x) (S^b Q^v)^v: pass iff every record of the trace is zero."""
-    conditions = _trace(d, terms)
-    ok = all(c.outcome.is_zero for c in conditions)
-    return VerificationReport(ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal")
-
-
 def check_exceptional(alpha, d: int) -> VerificationReport:
     """Self-Exts of S^alpha Q^v on G(2,d): pass iff End = k in degree 0 only."""
     if d < 3:
@@ -183,7 +176,9 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    return semiorthogonal_report(a, b, d, fibre_terms(ext_decomposition(a, b), 4))
+    conditions = _trace(d, fibre_terms(ext_decomposition(a, b), 4))
+    ok = all(c.outcome.is_zero for c in conditions)
+    return VerificationReport(ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal")
 
 
 def box_partitions(d: int) -> list[Weight]:

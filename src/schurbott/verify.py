@@ -4,21 +4,23 @@ Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
 check is a strict equality with zero tolerance.  The checks that sweep d
 walk each label or pair once: its fibre terms (``soc.fibre_terms``) do not
-depend on d, so only Borel-Weil-Bott runs per d.  The failure reported is
-still the one a d-major loop meets first: the least d, then self-Exts
-before backward pairs, then the partition order.
+depend on d, and each summand vanishes on G(2,d) exactly from its
+``bwb.vanishing_threshold`` on, so one threshold per label or pair (the
+largest of its summands') decides every d.  The failure reported is still
+the one a d-major loop meets first: the least d, then self-Exts before
+backward pairs, then the partition order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, inf
 from typing import Callable
 
 from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc
-from .bwb import BundleExpr, bwb_single, cohomology
+from .bwb import BundleExpr, bwb_single, cohomology, vanishing_threshold
 from .partitions import Value, Weight
 
 
@@ -63,6 +65,23 @@ def check_kummer(d_max: int) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
+def _threshold(weights) -> float:
+    """The least d from which every S^w Q^v with w in weights vanishes on G(2,d); inf if one never does."""
+    ts = [vanishing_threshold(2, w) for w in weights]
+    return inf if None in ts else max(ts, default=0)
+
+
+def _self_ext_threshold(terms: list[tuple[int, Weight, int]]) -> float:
+    """The least d from which a self-Ext's fibre terms pass on G(2,d): Hom = 1, all else vanishes.
+
+    The identity summand (q = 0, S(0,0)) never vanishes and spans Hom, so it
+    must occur exactly once; every other summand must vanish.
+    """
+    if [c for q, w, c in terms if q == 0 and w.is_zero()] != [1]:
+        return inf
+    return _threshold(w for q, w, _ in terms if q or not w.is_zero())
+
+
 def _least_d(labels_at: Callable[[int], list[Weight]], dims: range) -> dict[Weight, int]:
     """The least d in dims at which each label is listed; the lists grow with d."""
     return {a: d for d in reversed(dims) for a in labels_at(d)}
@@ -74,12 +93,10 @@ def check_fully_faithful(d_max: int) -> CheckResult:
     least = _least_d(soc.enumerate_ff, range(5, top + 1))
     fail_d, fail = top + 1, ""
     for a in soc.enumerate_ff(top):
-        terms = soc.fibre_terms(soc.ext_decomposition(a, a), 4)
-        for d in range(least[a], fail_d):
-            total += 1
-            if not soc.self_ext_report(a, d, terms, "fully_faithful").verdict:
-                fail_d, fail = d, f"d={d}, alpha={a} failed"
-                break
+        d = least[a]  # one threshold decides every d, so a label fails, if at all, at its least d
+        if d < fail_d and d < _self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4)):
+            fail_d, fail = d, f"d={d}, alpha={a} failed"
+        total += top + 1 - d
     if fail:
         return CheckResult("fully-faithful", False, fail)
     return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
@@ -91,8 +108,9 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     ``soc.ext_decomposition(a, b)`` must equal ``_brauer_klimyk(a, b.dual())``,
     the expansion that ``oracle-equivalence`` also reads, which shares no
     code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
-    are in the box and alpha_1 - beta_2 <= d-5.  A closed-form mismatch is
-    reported before any sweep failure.
+    are in the box and alpha_1 - beta_2 <= d-5; it passes at d iff d reaches
+    the threshold of its fibre terms, so it fails, if at all, at its least
+    bounded d.  A closed-form mismatch is reported before any sweep failure.
     """
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
@@ -116,13 +134,12 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
             bounded = range(max(least[a], least[b], a.entries[0] - b.entries[1] + 5), fail_d)
             if j == i or not bounded:
                 continue  # a label with itself is compared only
-            terms = soc.fibre_terms(closed, 4)
-            for d in bounded:
-                total += 1
-                seen_sos_pairs[d] += a in sos[d] and b in sos[d]
-                if not soc.semiorthogonal_report(a, b, d, terms).verdict:
-                    fail_d, fail = d, f"d={d}, {a} before {b} failed"
-                    break
+            if bounded[0] < _threshold(w for _, w, _ in soc.fibre_terms(closed, 4)):
+                fail_d, fail = bounded[0], f"d={bounded[0]}, {a} before {b} failed"
+            else:
+                total += len(bounded)
+                for d in bounded:
+                    seen_sos_pairs[d] += a in sos[d] and b in sos[d]
     for d, n in seen_sos_pairs.items():
         if d == fail_d:
             return CheckResult("semi-orthogonality", False, fail)
@@ -141,20 +158,17 @@ def check_exceptional_collection(d_max: int) -> CheckResult:
     labels = soc.box_partitions(top)
     # every self-Ext first: at one d, a d-major loop meets them before any backward pair
     for a in labels:
-        terms = soc.fibre_terms(soc.ext_decomposition(a, a), 0)
-        for d in range(least[a], fail_d):
-            if not soc.self_ext_report(a, d, terms, "exceptional").verdict:
-                fail_d, fail = d, f"d={d}, alpha={a}"
-                break
+        d = least[a]
+        if d < fail_d and d < _self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0)):
+            fail_d, fail = d, f"d={d}, alpha={a}"
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
+            d = max(least[a], least[b])
             ext = soc.ext_decomposition(a, b)
-            for d in range(max(least[a], least[b]), fail_d):
-                coh = cohomology(BundleExpr.from_qdual(d, 2, ext))
-                if not coh.is_zero():
-                    fail_d, fail = d, f"d={d}: backward Ext {a} before {b}: {coh}"
-                    break
-                total += 1
+            if d < fail_d and d < _threshold(ext.terms):
+                coh = cohomology(BundleExpr.from_qdual(d, 2, ext))  # only to print what survives
+                fail_d, fail = d, f"d={d}: backward Ext {a} before {b}: {coh}"
+            total += top + 1 - d
     if fail:
         return CheckResult("exceptional-collection", False, fail)
     return CheckResult(

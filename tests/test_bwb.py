@@ -10,6 +10,7 @@ from schurbott.bwb import (
     GradedCohomology,
     bwb_single,
     cohomology,
+    vanishing_threshold,
 )
 from schurbott.partitions import Weight, trivial
 from schurbott.rep_ring import RepElement, dual, weyl_dim
@@ -151,6 +152,41 @@ class TestSingleBundle:
     def test_str(self):
         assert "Zero" in str(bwb_single(5, 2, (0, 0, 0), (1, 0)))
         assert "degree 0" in str(bwb_single(5, 2, (0, 0, 0), (0, 0)))
+
+
+class TestVanishingThreshold:
+    """S^delta Q^v with trivial K vanishes on G(k,d) exactly when d >= its threshold.
+
+    The reference is the full dotted action, not ``bwb_single``, whose
+    trivial-K shortcut is this same interval rule.
+    """
+
+    @staticmethod
+    def _matches_the_dotted_action(k, delta, dims):
+        t = vanishing_threshold(k, Weight(delta))
+        for d in dims:
+            zero = dotted_action(d, k, (0,) * (d - k), delta)[0] == "zero"
+            assert zero == (t is not None and d >= t), (d, k, delta, t)
+        return t
+
+    def test_rank_two_grid(self):
+        thresholds = {
+            self._matches_the_dotted_action(2, (x, y), range(3, 26)) for x in range(-8, 25) for y in range(-8, x + 1)
+        }
+        # every threshold from G(2,3) to G(2,26), and bundles that never vanish
+        assert thresholds == {None, *range(3, 27)}
+
+    def test_every_rank_at_small_d(self):
+        for k in range(1, 6):
+            values = range(k + 3, -3, -1)
+            for delta in itertools.combinations_with_replacement(values, k):
+                self._matches_the_dotted_action(k, delta, range(k + 1, 10))
+
+    def test_the_witness_is_not_the_threshold(self):
+        # at d = 9 both of (5,4)'s values 7 and 5 lie in 3..9: bwb_single
+        # names the first, 7, while the bundle vanishes from d = 5 on
+        assert vanishing_threshold(2, weight(5, 4)) == 5
+        assert bwb_single(9, 2, trivial(7), (5, 4)).repeated_value == 7
 
 
 class TestBundleExpr:

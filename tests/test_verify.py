@@ -4,8 +4,8 @@ import pytest
 
 from schurbott import bundle_calculus as bc
 from schurbott import rep_ring as rr
-from schurbott import bwb, soc, verify
-from schurbott.bwb import BWBOutcome
+from schurbott import soc, verify
+from schurbott.bwb import BundleExpr, cohomology
 from schurbott.partitions import Weight
 from schurbott.rep_ring import CharPoly, RepElement
 
@@ -98,21 +98,27 @@ def test_oracle_equivalence_fails_on_a_character_missing_one_monomial(monkeypatc
     assert result.detail == "LR vs character at (2, 1, 0) x (2, 1, 0)"
 
 
-def _surviving_when(real, survives):
-    """``real`` with a non-zero outcome wherever ``survives(d, Q-dual entries)`` holds."""
+def _never_vanishing(monkeypatch, weight=None):
+    """Make S^w Q^v survive on every G(2,d) in verify's thresholds, for w == weight (every w if None)."""
+    threshold = verify.vanishing_threshold
 
-    def bwb_single(d, k, gamma, delta):
-        if survives(d, tuple(delta.entries if isinstance(delta, Weight) else delta)):
-            return BWBOutcome(degree=0, weight=Weight((0,) * d))
-        return real(d, k, gamma, delta)
+    def patched(k, delta):
+        return None if weight is None or delta.entries == weight else threshold(k, delta)
 
-    return bwb_single
+    monkeypatch.setattr(verify, "vanishing_threshold", patched)
+
+
+def _in_fibre_terms(w, a, b, top_q=4):
+    terms = soc.fibre_terms(soc.ext_decomposition(Weight(a), Weight(b)), top_q)
+    return any(v.entries == w for _, v, _ in terms)
 
 
 def test_semiorthogonality_reports_the_least_d_then_the_first_pair(monkeypatch):
-    # (1,-1) sits in the trace of (4,2) before (3,3) at d = 6..9, and of
-    # (7,5) before (6,6), the earlier pair in the partition order, only at d = 9
-    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 6 and w == (1, -1)))
+    # (1,-1) sits in the terms of (4,2) before (3,3), bounded from d = 6, the
+    # least d of any bounded pair holding it, and of (7,5) before (6,6), the
+    # earlier pair in the partition order, bounded only from d = 9
+    assert _in_fibre_terms((1, -1), (4, 2), (3, 3)) and _in_fibre_terms((1, -1), (7, 5), (6, 6))
+    _never_vanishing(monkeypatch, (1, -1))
     result = verify.check_semiorthogonal(9)
     assert not result.passed
     assert result.detail == "d=6, (4,2) before (3,3) failed"
@@ -121,7 +127,7 @@ def test_semiorthogonality_reports_the_least_d_then_the_first_pair(monkeypatch):
 def test_semiorthogonality_reports_a_closed_form_mismatch_before_any_sweep_failure(monkeypatch):
     # every bounded pair fails the sweep, and (0,0) before (0,0) is the
     # last pair the closed form is compared at, so the mismatch must still win
-    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: True))
+    _never_vanishing(monkeypatch)
     brauer_klimyk, last = verify._brauer_klimyk, Weight((0, 0))
 
     def off_by_one(a, b):
@@ -137,66 +143,122 @@ def test_semiorthogonality_reports_a_closed_form_mismatch_before_any_sweep_failu
 
 
 def test_fully_faithful_reports_the_least_d_then_the_first_label(monkeypatch):
-    # (1,-1) sits in End of (4,3) at d = 6..9, and of (7,6), the earlier
-    # label in the partition order, only at d = 9
-    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 6 and w == (1, -1)))
+    # (1,-1) sits in End of every label of positive width: of (4,3), listed
+    # from d = 6 with the other width-1 labels and first among them in the
+    # partition order, and of (7,6), an earlier label listed only from d = 9
+    assert _in_fibre_terms((1, -1), (4, 3), (4, 3)) and _in_fibre_terms((1, -1), (7, 6), (7, 6))
+    _never_vanishing(monkeypatch, (1, -1))
     result = verify.check_fully_faithful(9)
     assert not result.passed
     assert result.detail == "d=6, alpha=(4,3) failed"
 
 
+def _with_trivial_summand(monkeypatch, where):
+    """Add S(0,0), which never vanishes, to ``soc.ext_decomposition(a, b)`` wherever ``where(a, b)`` holds."""
+    ext = soc.ext_decomposition
+    monkeypatch.setattr(
+        soc, "ext_decomposition", lambda a, b: ext(a, b) + (RepElement.one(2) if where(a, b) else RepElement.zero(2))
+    )
+
+
 def test_exceptional_collection_reports_a_self_ext_before_a_backward_pair(monkeypatch):
-    monkeypatch.setattr(soc, "bwb_single", _surviving_when(soc.bwb_single, lambda d, w: d >= 5 and w == (1, -1)))
+    # a label is in the box from d = max(3, a_1 + 2), a pair from the later of its two labels'
+    def first_d(*labels):
+        return max(3, *(a.entries[0] + 2 for a in labels))
+
+    # (3,2)'s Hom doubles from d = 5, and every backward pair listed from d = 5 on survives
+    worse = Weight((3, 2))
+    _with_trivial_summand(monkeypatch, lambda a, b: a == b == worse or (a != b and first_d(a, b) >= 5))
     result = verify.check_exceptional_collection(8)
     assert not result.passed
     assert result.detail == "d=5, alpha=(3,2)"
-    # a backward Ext surviving at the same d comes second, at a lower d first
-    monkeypatch.setattr(bwb, "bwb_single", _surviving_when(bwb.bwb_single, lambda d, w: d >= 5))
-    assert verify.check_exceptional_collection(8).detail == "d=5, alpha=(3,2)"
-    monkeypatch.setattr(bwb, "bwb_single", _surviving_when(bwb.bwb_single, lambda d, w: d >= 4))
+    # on top of those, the backward pairs listed from d = 4 survive: the lower d comes first
+    _with_trivial_summand(monkeypatch, lambda a, b: a != b and first_d(a, b) == 4)
     result = verify.check_exceptional_collection(8)
     assert not result.passed
     assert result.detail == "d=4: backward Ext (2,2) before (2,1): H^0 = S(0,0,0,0)"
 
 
-def _recorded(monkeypatch, name):
-    """Record (d, alpha, beta, report JSON) of every report verify builds by ``soc.<name>``."""
-    seen, build = [], getattr(soc, name)
+@pytest.mark.parametrize(
+    "label, ff_detail, exc_detail",
+    [((2, 1), "d=6, alpha=(2,1) failed", "d=4, alpha=(2,1)"), ((0, 0), "d=5, alpha=(0,0) failed", "d=3, alpha=(0,0)")],
+)
+def test_self_ext_checks_fail_on_a_doubled_identity(monkeypatch, label, ff_detail, exc_detail):
+    # every summand but the identity still vanishes, so only Hom = 2 can fail the label
+    assert verify.check_fully_faithful(9).passed and verify.check_exceptional_collection(8).passed
+    doubled = Weight(label)
+    _with_trivial_summand(monkeypatch, lambda a, b: a == b == doubled)
+    ff, exc = verify.check_fully_faithful(9), verify.check_exceptional_collection(8)
+    assert (ff.passed, ff.detail) == (False, ff_detail)
+    assert (exc.passed, exc.detail) == (False, exc_detail)
 
-    def recording(*args):
-        report = build(*args)
-        seen.append((report.d, report.alpha, report.beta, report.to_json()))
-        return report
 
-    monkeypatch.setattr(soc, name, recording)
-    return seen
+def _pair_threshold(a, b):
+    return verify._threshold(w for _, w, _ in soc.fibre_terms(soc.ext_decomposition(a, b), 4))
 
 
-def test_pair_first_semiorthogonality_matches_the_single_d_reports(monkeypatch):
-    seen = _recorded(monkeypatch, "semiorthogonal_report")
-    assert verify.check_semiorthogonal(9).passed
-    # pairs come in the partition order, so a stable sort by d is the d-major order
-    got = sorted(seen, key=lambda t: t[0])
-    monkeypatch.undo()
-    expected = []
+def _self_ext_threshold(a, top_q):
+    return verify._self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), top_q))
+
+
+def test_pair_first_semiorthogonality_matches_the_single_d_reports():
+    # the pair's threshold against soc's trace, on every pair of the box at
+    # d = 5..9: the 567 bounded ones the check sweeps, and the rest, which fail
+    bounded, failing = 0, 0
     for d in range(5, 10):
         labels = soc.box_partitions(d)
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                if a.entries[0] - b.entries[1] <= d - 5:
-                    expected.append((d, a, b, soc.check_semiorthogonal(a, b, d).to_json()))
-    assert got == expected and len(expected) == 567
+                verdict = soc.check_semiorthogonal(a, b, d).verdict
+                assert (d >= _pair_threshold(a, b)) == verdict, (d, a, b)
+                bounded += a.entries[0] - b.entries[1] <= d - 5
+                failing += not verdict
+    assert bounded == 567 and failing > 0
 
 
-def test_label_first_self_exts_match_the_single_d_reports(monkeypatch):
-    seen = _recorded(monkeypatch, "self_ext_report")
-    assert verify.check_fully_faithful(9).passed
-    ff = sorted(seen, key=lambda t: t[0])
-    seen.clear()
-    assert verify.check_exceptional_collection(8).passed
-    exceptional = sorted(seen, key=lambda t: t[0])
-    monkeypatch.undo()
-    expected = [(d, a, None, soc.check_fully_faithful(a, d).to_json()) for d in range(5, 10) for a in soc.enumerate_ff(d)]
-    assert ff == expected and len(expected) == 80
-    expected = [(d, a, None, soc.check_exceptional(a, d).to_json()) for d in range(3, 9) for a in soc.box_partitions(d)]
-    assert exceptional == expected and len(expected) == 83
+def test_label_first_self_exts_match_the_single_d_reports():
+    # fully-faithful: every label of the box at d = 5..9, the 80 narrow ones
+    # the check sweeps and the wide ones, which fail
+    narrow, failing = 0, 0
+    for d in range(5, 10):
+        for a in soc.box_partitions(d):
+            verdict = soc.check_fully_faithful(a, d).verdict
+            assert (d >= _self_ext_threshold(a, 4)) == verdict, (d, a)
+            narrow += a.entries[0] - a.entries[1] <= d - 5
+            failing += not verdict
+    assert narrow == 80 and failing > 0
+    # exceptional-collection at d = 3..8: the 83 self-Exts, the 756 backward
+    # pairs and, to see the threshold fail, the same pairs forward
+    labels, pairs, forward_failing = 0, 0, 0
+    for d in range(3, 9):
+        box = soc.box_partitions(d)
+        for a in box:
+            assert (d >= _self_ext_threshold(a, 0)) == soc.check_exceptional(a, d).verdict, (d, a)
+            labels += 1
+        for i, a in enumerate(box):
+            for b in box[i + 1 :]:
+                for x, y in ((a, b), (b, a)):
+                    ext = soc.ext_decomposition(x, y)
+                    vanishes = cohomology(BundleExpr.from_qdual(d, 2, ext)).is_zero()
+                    assert (d >= verify._threshold(ext.terms)) == vanishes, (d, x, y)
+                pairs += 1
+                forward_failing += not vanishes
+    assert (labels, pairs) == (83, 756) and forward_failing > 0
+
+
+def test_thresholds_meet_the_papers_bounds_at_every_d():
+    # on the box at D = 16: a label is fully faithful fibrewise exactly from
+    # d = width + 5, so the paper's width(a) <= d-5 is sharp, and a pair is
+    # semi-orthogonal from a_1 - b_2 + 5 at the latest
+    labels = soc.box_partitions(16)
+    assert len(labels) == 120
+    for a in labels:
+        assert _self_ext_threshold(a, 4) == a.entries[0] - a.entries[1] + 5, a
+    pairs, sharp = 0, 0
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            t, bound = _pair_threshold(a, b), a.entries[0] - b.entries[1] + 5
+            assert t <= bound, (a, b)
+            pairs += 1
+            sharp += t == bound
+    assert (pairs, sharp) == (7140, 5775)
