@@ -158,8 +158,10 @@ class BundleExpr(Value):
         )
 
 
-class GradedCohomology:
+class GradedCohomology(Value):
     """Finitely supported map degree -> effective RepElement of GL_d weights."""
+
+    __slots__ = ("d", "groups")
 
     def __init__(self, d: int, groups: dict[int, RepElement] | None = None):
         self.d = d
@@ -172,13 +174,6 @@ class GradedCohomology:
 
     def is_zero(self) -> bool:
         return not self.groups
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GradedCohomology)
-            and self.d == other.d
-            and self.groups == other.groups
-        )
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -9,13 +9,17 @@ Borel-Weil-Bott verdict on each does, so a check builds the terms once
 (``fibre_terms``) and a report traces them on one G(2,d).  The checkers
 record a full witness trace: one (q, summand weight, outcome) triple per
 bundle summand that had to vanish (or survive).  The trace is the only
-result: each verdict and Hom dimension is read from its records.
+result: each verdict and Hom dimension is read from its records.  The
+verdict rule is stated here once (``_report``), and ``threshold`` applies
+it to every d at once.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 from .bundle_calculus import wedge_nprime
-from .bwb import BWBOutcome, BundleExpr, bwb_single
+from .bwb import BWBOutcome, BundleExpr, bwb_single, vanishing_threshold
 from .partitions import Value, Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
 
@@ -108,21 +112,25 @@ def fibre_terms(ext: RepElement, top_q: int) -> list[tuple[int, Weight, int]]:
     ]
 
 
+def _is_identity(q: int, w: Weight) -> bool:
+    """The trivial q = 0 summand, which carries the identity morphism and never vanishes."""
+    return q == 0 and w.is_zero()
+
+
 def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord]:
     """Witness trace of ``fibre_terms`` on G(2,d).
 
     One Borel-Weil-Bott evaluation per summand, recorded once per unit of
-    its multiplicity, in the order of the terms.  The trivial q = 0 summand
-    carries the identity morphism, so it is the one summand not required to
-    vanish.  Verdicts are read from this trace: every multiplicity is
-    positive, so a cohomology degree vanishes exactly when none of its
-    records survives.
+    its multiplicity, in the order of the terms.  The identity summand is
+    the one summand not required to vanish.  Verdicts are read from this
+    trace: every multiplicity is positive, so a cohomology degree vanishes
+    exactly when none of its records survives.
     """
     g0 = trivial(d - 2)
     conditions: list[ConditionRecord] = []
     for q, w, c in terms:
         outcome = bwb_single(d, 2, g0, w)
-        required_zero = q != 0 or not w.is_zero()
+        required_zero = not _is_identity(q, w)
         for _ in range(c):
             conditions.append(ConditionRecord(q, w.entries, outcome, required_zero))
     return conditions
@@ -133,12 +141,28 @@ def _hom_dimension(conditions: list[ConditionRecord]) -> int:
     return sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
 
 
-def self_ext_report(a: Weight, d: int, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
-    """From End(S^a Q^v)'s terms: pass iff Hom is one-dimensional and every other summand vanishes."""
+def _report(d: int, a: Weight, b: Weight | None, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
+    """Pass iff Hom is 1 for a self-Ext (b is None), 0 for a pair (Schur's lemma), and no required record survives."""
     conditions = _trace(d, terms)
-    hom = _hom_dimension(conditions)
-    ok = hom == 1 and all(c.outcome.is_zero for c in conditions if c.required_zero)
-    return VerificationReport(ok, d, a, conditions=conditions, hom_dimension=hom, kind=kind)
+    survivors = [c for c in conditions if not c.outcome.is_zero]  # a zero record adds nothing to Hom
+    hom = _hom_dimension(survivors)
+    ok = hom == (b is None) and not any(c.required_zero for c in survivors)
+    return VerificationReport(ok, d, a, b, conditions, hom, kind)
+
+
+def threshold(terms: list[tuple[int, Weight, int]], hom: int) -> float:
+    """The least d from which ``fibre_terms`` pass on G(2,d), or inf if they never do.
+
+    A report's rule for every d at once: the identity summand occurs exactly
+    ``hom`` times, and every other one vanishes from its ``vanishing_threshold`` on.
+    """
+    identities, ts = 0, []
+    for q, w, c in terms:
+        if _is_identity(q, w):
+            identities += c
+        else:
+            ts.append(vanishing_threshold(2, w))
+    return inf if identities != hom or None in ts else max(ts, default=0)
 
 
 def check_exceptional(alpha, d: int) -> VerificationReport:
@@ -146,7 +170,7 @@ def check_exceptional(alpha, d: int) -> VerificationReport:
     if d < 3:
         raise ValueError("exceptional check requires d >= 3")
     a = _box_label(alpha, d)
-    return self_ext_report(a, d, fibre_terms(ext_decomposition(a, a), 0), "exceptional")
+    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), 0), "exceptional")
 
 
 def check_fully_faithful(alpha, d: int) -> VerificationReport:
@@ -160,7 +184,7 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
     a = _box_label(alpha, d)
-    return self_ext_report(a, d, fibre_terms(ext_decomposition(a, a), 4), "fully_faithful")
+    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), 4), "fully_faithful")
 
 
 def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
@@ -168,7 +192,7 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
 
     Requires alpha strictly before beta in the partition order; passes iff
     the cohomology of wedge^q N' (x) S^alpha Q^v (x) (S^beta Q^v)^v
-    vanishes entirely for q = 0..4, i.e. iff every record of the trace is zero.
+    vanishes entirely for q = 0..4: Hom is 0 and no other record survives.
     """
     if d < 5:
         raise ValueError("semi-orthogonality check requires d >= 5")
@@ -176,9 +200,7 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    conditions = _trace(d, fibre_terms(ext_decomposition(a, b), 4))
-    ok = all(c.outcome.is_zero for c in conditions)
-    return VerificationReport(ok, d, a, beta=b, conditions=conditions, hom_dimension=0, kind="semiorthogonal")
+    return _report(d, a, b, fibre_terms(ext_decomposition(a, b), 4), "semiorthogonal")
 
 
 def box_partitions(d: int) -> list[Weight]:

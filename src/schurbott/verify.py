@@ -4,23 +4,23 @@ Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
 check is a strict equality with zero tolerance.  The checks that sweep d
 walk each label or pair once: its fibre terms (``soc.fibre_terms``) do not
-depend on d, and each summand vanishes on G(2,d) exactly from its
-``bwb.vanishing_threshold`` on, so one threshold per label or pair (the
-largest of its summands') decides every d.  The failure reported is still
-the one a d-major loop meets first: the least d, then self-Exts before
-backward pairs, then the partition order.
+depend on d, and ``soc.threshold``, which holds the fibre verdict rule,
+reads from them the least d from which they pass.  These checks only
+compare that d with the d-range each label or pair is swept over.  The
+failure reported is still the one a d-major loop meets first: the least
+d, then self-Exts before backward pairs, then the partition order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, inf
+from math import comb
 from typing import Callable
 
 from . import bundle_calculus as bc
 from . import rep_ring as rr
 from . import soc
-from .bwb import BundleExpr, bwb_single, cohomology, vanishing_threshold
+from .bwb import BundleExpr, bwb_single, cohomology
 from .partitions import Value, Weight
 
 
@@ -65,23 +65,6 @@ def check_kummer(d_max: int) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
-def _threshold(weights) -> float:
-    """The least d from which every S^w Q^v with w in weights vanishes on G(2,d); inf if one never does."""
-    ts = [vanishing_threshold(2, w) for w in weights]
-    return inf if None in ts else max(ts, default=0)
-
-
-def _self_ext_threshold(terms: list[tuple[int, Weight, int]]) -> float:
-    """The least d from which a self-Ext's fibre terms pass on G(2,d): Hom = 1, all else vanishes.
-
-    The identity summand (q = 0, S(0,0)) never vanishes and spans Hom, so it
-    must occur exactly once; every other summand must vanish.
-    """
-    if [c for q, w, c in terms if q == 0 and w.is_zero()] != [1]:
-        return inf
-    return _threshold(w for q, w, _ in terms if q or not w.is_zero())
-
-
 def _least_d(labels_at: Callable[[int], list[Weight]], dims: range) -> dict[Weight, int]:
     """The least d in dims at which each label is listed; the lists grow with d."""
     return {a: d for d in reversed(dims) for a in labels_at(d)}
@@ -94,7 +77,7 @@ def check_fully_faithful(d_max: int) -> CheckResult:
     fail_d, fail = top + 1, ""
     for a in soc.enumerate_ff(top):
         d = least[a]  # one threshold decides every d, so a label fails, if at all, at its least d
-        if d < fail_d and d < _self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4)):
+        if d < fail_d and d < soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4), 1):
             fail_d, fail = d, f"d={d}, alpha={a} failed"
         total += top + 1 - d
     if fail:
@@ -110,13 +93,13 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
     are in the box and alpha_1 - beta_2 <= d-5; it passes at d iff d reaches
     the threshold of its fibre terms, so it fails, if at all, at its least
-    bounded d.  A closed-form mismatch is reported before any sweep failure.
+    bounded d.  A closed-form mismatch comes first; at each d, a sweep failure
+    comes before a pair of ``soc.enumerate_sos(d)`` that does not pass there.
     """
     total = 0
     top = min(D_CAPS["semi-orthogonality"], d_max)
     least = _least_d(soc.box_partitions, range(5, top + 1))
-    sos = {d: set(soc.enumerate_sos(d)) for d in range(5, top + 1)}
-    seen_sos_pairs = dict.fromkeys(sos, 0)
+    passes_from: dict[tuple[Weight, Weight], int] = {}
     fail_d, fail = top + 1, ""
     # This cap is the largest of the kernel checks, so the box at top holds
     # every (alpha, beta) that any of them passes through ext_decomposition.
@@ -134,19 +117,16 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
             bounded = range(max(least[a], least[b], a.entries[0] - b.entries[1] + 5), fail_d)
             if j == i or not bounded:
                 continue  # a label with itself is compared only
-            if bounded[0] < _threshold(w for _, w, _ in soc.fibre_terms(closed, 4)):
+            if bounded[0] < soc.threshold(soc.fibre_terms(closed, 4), 0):
                 fail_d, fail = bounded[0], f"d={bounded[0]}, {a} before {b} failed"
             else:
                 total += len(bounded)
-                for d in bounded:
-                    seen_sos_pairs[d] += a in sos[d] and b in sos[d]
-    for d, n in seen_sos_pairs.items():
+                passes_from[a, b] = bounded[0]
+    for d in range(5, top + 1):
         if d == fail_d:
             return CheckResult("semi-orthogonality", False, fail)
-        if n != comb(len(sos[d]), 2):
-            return CheckResult(
-                "semi-orthogonality", False, f"d={d}: sequence pairs not all covered"
-            )
+        if any(passes_from.get(pair, d + 1) > d for pair in combinations(soc.enumerate_sos(d), 2)):
+            return CheckResult("semi-orthogonality", False, f"d={d}: sequence pairs not all covered")
     return CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{top}")
 
 
@@ -159,13 +139,13 @@ def check_exceptional_collection(d_max: int) -> CheckResult:
     # every self-Ext first: at one d, a d-major loop meets them before any backward pair
     for a in labels:
         d = least[a]
-        if d < fail_d and d < _self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0)):
+        if d < fail_d and d < soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0), 1):
             fail_d, fail = d, f"d={d}, alpha={a}"
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             d = max(least[a], least[b])
             ext = soc.ext_decomposition(a, b)
-            if d < fail_d and d < _threshold(ext.terms):
+            if d < fail_d and d < soc.threshold(soc.fibre_terms(ext, 0), 0):
                 coh = cohomology(BundleExpr.from_qdual(d, 2, ext))  # only to print what survives
                 fail_d, fail = d, f"d={d}: backward Ext {a} before {b}: {coh}"
             total += top + 1 - d

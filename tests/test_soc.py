@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 from math import comb
 
 import pytest
 
+from schurbott import soc
 from schurbott.bundle_calculus import wedge_nprime
 from schurbott.bwb import BundleExpr, cohomology
 from schurbott.partitions import Weight, precedes, sort_key
@@ -136,6 +138,41 @@ class TestSemiorthogonal:
         report = check_semiorthogonal(weight(4, 4), weight(3, 3), 6)
         assert report.to_json()["beta"] == [3, 3]
 
+    def test_an_identity_summand_is_read_as_hom_and_fails(self, monkeypatch):
+        # S(0,0) never vanishes: between distinct kernels it is a morphism,
+        # so the trace reads Hom = 1 and Schur's lemma fails the pair
+        ext = soc.ext_decomposition
+        monkeypatch.setattr(soc, "ext_decomposition", lambda a, b: ext(a, b) + RepElement.one(2))
+        report = check_semiorthogonal(weight(4, 4), weight(3, 3), 6)
+        assert (report.verdict, report.hom_dimension) == (False, 1)
+        survivors = [(c.q, c.weight) for c in report.conditions if not c.outcome.is_zero]
+        assert survivors == [(0, (0, 0))]
+
+
+class TestThreshold:
+    def test_a_doubled_identity_never_passes_a_self_ext(self):
+        terms = soc.fibre_terms(ext_decomposition(weight(2, 1), weight(2, 1)) + RepElement.one(2), 4)
+        assert soc.threshold(terms, 1) == float("inf")
+        assert soc.threshold(terms, 2) == 6
+
+    def test_an_identity_never_passes_a_pair(self):
+        ext = ext_decomposition(weight(4, 4), weight(3, 3))
+        assert soc.threshold(soc.fibre_terms(ext, 4), 0) == 6
+        assert soc.threshold(soc.fibre_terms(ext + RepElement.one(2), 4), 0) == float("inf")
+
+
+class TestSelfExtReportsDigest:
+    def test_reports_match_their_pinned_digest(self):
+        # every fully-faithful report on the box at d = 5..9 and every
+        # exceptional one at d = 3..8, in JSON: verdicts, Hom and traces
+        reports = [check_fully_faithful(a, d) for d in range(5, 10) for a in box_partitions(d)]
+        reports += [check_exceptional(a, d) for d in range(3, 9) for a in box_partitions(d)]
+        assert len(reports) == 110 + 83
+        text = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "98268e73f9bf8cb7311053f77704066fc366a6e8d65d11f865b944562099f048"
+        )
+
 
 class TestEnumeration:
     def test_d5(self):
@@ -244,9 +281,11 @@ class TestVerdictsMatchGradedCohomology:
             labels = box_partitions(d)
             for i, a in enumerate(labels):
                 for b in labels[i + 1 :]:
-                    expected = all(coh.is_zero() for coh in graded(d, ext_decomposition(a, b), 4))
+                    cohs = graded(d, ext_decomposition(a, b), 4)
+                    expected = all(coh.is_zero() for coh in cohs)
                     report = check_semiorthogonal(a, b, d)
-                    assert (report.verdict, report.hom_dimension) == (expected, 0), (d, a, b)
+                    hom = cohs[0].dimensions().get(0, 0)
+                    assert (report.verdict, report.hom_dimension) == (expected, hom), (d, a, b)
                     verdicts.add(expected)
         assert verdicts == {True, False}
 

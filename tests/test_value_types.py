@@ -1,12 +1,12 @@
 """The contract of the package's value types: construction, defaults,
 equality, hashing, immutability, repr and copying.
 
-Seven classes carry values between the layers: ``Weight``, ``CharPoly``,
-``BWBOutcome``, ``BundleExpr``, ``ConditionRecord``, ``VerificationReport``
-and ``CheckResult``.  Each is equal only to an instance of the same class
-with equal fields.  The first three are immutable and hashable (weights and
-characters are dict and cache keys); the other four are mutable and
-unhashable.
+Eight classes carry values between the layers: ``Weight``, ``CharPoly``,
+``BWBOutcome``, ``BundleExpr``, ``GradedCohomology``, ``ConditionRecord``,
+``VerificationReport`` and ``CheckResult``.  Each is equal only to an
+instance of the same class with equal fields.  The first three are immutable
+and hashable (weights and characters are dict and cache keys); the other
+five are mutable and unhashable.
 """
 
 import copy
@@ -14,9 +14,9 @@ import pickle
 
 import pytest
 
-from schurbott.bwb import BWBOutcome, BundleExpr
+from schurbott.bwb import BWBOutcome, BundleExpr, GradedCohomology
 from schurbott.partitions import Weight
-from schurbott.rep_ring import CharPoly
+from schurbott.rep_ring import CharPoly, RepElement
 from schurbott.soc import ConditionRecord, VerificationReport
 from schurbott.verify import CheckResult
 
@@ -33,6 +33,7 @@ def same_twice():
         (BWBOutcome(0, W, None), BWBOutcome(degree=0, weight=Weight((1, 0)))),
         (BundleExpr(3, 1, {(Weight((0, 0)), Weight((1,))): 2}),
          BundleExpr(d=3, k=1, terms={(Weight((0, 0)), Weight((1,))): 2})),
+        (GradedCohomology(3, {0: RepElement.one(3)}), GradedCohomology(d=3, groups={0: RepElement.one(3)})),
         (ConditionRecord(1, (2, 0), OUTCOME), ConditionRecord(q=1, weight=(2, 0), outcome=BWBOutcome(repeated_value=3))),
         (VerificationReport(True, 5, W), VerificationReport(verdict=True, d=5, alpha=Weight((1, 0)))),
         (CheckResult("counting", True, "ok"), CheckResult(name="counting", passed=True, detail="ok")),
@@ -44,6 +45,7 @@ FIELDS = {
     CharPoly: ("rank", "coeffs"),
     BWBOutcome: ("degree", "weight", "repeated_value"),
     BundleExpr: ("d", "k", "terms"),
+    GradedCohomology: ("d", "groups"),
     ConditionRecord: ("q", "weight", "outcome", "required_zero"),
     VerificationReport: ("verdict", "d", "alpha", "beta", "conditions", "hom_dimension", "kind"),
     CheckResult: ("name", "passed", "detail"),
@@ -64,6 +66,7 @@ class TestEquality:
             (CharPoly(2, COEFFS), CharPoly(2, COEFFS[:1])),
             (BWBOutcome(repeated_value=3), BWBOutcome(repeated_value=4)),
             (BundleExpr(3, 1), BundleExpr(3, 2)),
+            (GradedCohomology(3), GradedCohomology(4)),
             (ConditionRecord(1, (2, 0), OUTCOME), ConditionRecord(1, (2, 0), OUTCOME, False)),
             (VerificationReport(True, 5, W), VerificationReport(True, 5, W, kind="x")),
             (CheckResult("a", True, ""), CheckResult("a", False, "")),
@@ -134,6 +137,10 @@ class TestConstruction:
         key = (Weight((0, 0)), Weight((1,)))
         assert BundleExpr(3, 1, {key: 0}).terms == {}
 
+    def test_graded_cohomology_defaults_and_zero_filter(self):
+        assert (GradedCohomology(3).d, GradedCohomology(3).groups) == (3, {})
+        assert GradedCohomology(3, {1: RepElement.zero(3)}).groups == {}
+
     def test_condition_record_defaults(self):
         record = ConditionRecord(2, (1, 0), OUTCOME)
         assert (record.q, record.weight, record.outcome, record.required_zero) == (2, (1, 0), OUTCOME, True)
@@ -155,7 +162,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("cls, args", [(Weight, ()), (CharPoly, (2,)), (ConditionRecord, (1, (0,))),
                                            (VerificationReport, (True, 5)), (CheckResult, ("a", True)),
-                                           (BundleExpr, (3,))])
+                                           (BundleExpr, (3,)), (GradedCohomology, ())])
     def test_missing_required_fields_raise(self, cls, args):
         with pytest.raises(TypeError):
             cls(*args)
@@ -199,6 +206,7 @@ class TestRepr:
         assert repr(CheckResult("a", True, "x")) == "CheckResult(name='a', passed=True, detail='x')"
         assert repr(CharPoly(1, (((1,), 1),))) == "CharPoly(rank=1, coeffs=(((1,), 1),))"
         assert repr(BundleExpr(3, 1)) == "BundleExpr(d=3, k=1, terms={})"
+        assert repr(GradedCohomology(3)) == "GradedCohomology(d=3, groups={})"
         assert repr(VerificationReport(True, 5, W)) == (
             "VerificationReport(verdict=True, d=5, alpha=Weight(entries=(1, 0)), beta=None, "
             "conditions=[], hom_dimension=0, kind='')"

@@ -99,13 +99,13 @@ def test_oracle_equivalence_fails_on_a_character_missing_one_monomial(monkeypatc
 
 
 def _never_vanishing(monkeypatch, weight=None):
-    """Make S^w Q^v survive on every G(2,d) in verify's thresholds, for w == weight (every w if None)."""
-    threshold = verify.vanishing_threshold
+    """Make S^w Q^v survive on every G(2,d) in soc's thresholds, for w == weight (every w if None)."""
+    threshold = soc.vanishing_threshold
 
     def patched(k, delta):
         return None if weight is None or delta.entries == weight else threshold(k, delta)
 
-    monkeypatch.setattr(verify, "vanishing_threshold", patched)
+    monkeypatch.setattr(soc, "vanishing_threshold", patched)
 
 
 def _in_fibre_terms(w, a, b, top_q=4):
@@ -118,6 +118,30 @@ def test_semiorthogonality_reports_the_least_d_then_the_first_pair(monkeypatch):
     # least d of any bounded pair holding it, and of (7,5) before (6,6), the
     # earlier pair in the partition order, bounded only from d = 9
     assert _in_fibre_terms((1, -1), (4, 2), (3, 3)) and _in_fibre_terms((1, -1), (7, 5), (6, 6))
+    _never_vanishing(monkeypatch, (1, -1))
+    result = verify.check_semiorthogonal(9)
+    assert not result.passed
+    assert result.detail == "d=6, (4,2) before (3,3) failed"
+
+
+def _with_an_extra_sequence_label(monkeypatch, d, label=(0, 0)):
+    """Append ``label`` to ``soc.enumerate_sos(d)``: its pairs with the sequence are not bounded at d."""
+    enumerate_sos = soc.enumerate_sos
+    monkeypatch.setattr(soc, "enumerate_sos", lambda e: enumerate_sos(e) + ([Weight(label)] if e == d else []))
+
+
+@pytest.mark.parametrize("d", [7, 9])
+def test_semiorthogonality_reports_uncovered_sequence_pairs(monkeypatch, d):
+    # (a, (0,0)) is bounded from d = a_1 + 5: after 7 for every sequence label
+    # at d = 7, and after the cap 9 for (7,3) at d = 9, which is then never swept
+    _with_an_extra_sequence_label(monkeypatch, d)
+    result = verify.check_semiorthogonal(9)
+    assert not result.passed
+    assert result.detail == f"d={d}: sequence pairs not all covered"
+
+
+def test_semiorthogonality_reports_a_sweep_failure_before_a_later_uncovered_d(monkeypatch):
+    _with_an_extra_sequence_label(monkeypatch, 7)
     _never_vanishing(monkeypatch, (1, -1))
     result = verify.check_semiorthogonal(9)
     assert not result.passed
@@ -194,11 +218,11 @@ def test_self_ext_checks_fail_on_a_doubled_identity(monkeypatch, label, ff_detai
 
 
 def _pair_threshold(a, b):
-    return verify._threshold(w for _, w, _ in soc.fibre_terms(soc.ext_decomposition(a, b), 4))
+    return soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, b), 4), 0)
 
 
 def _self_ext_threshold(a, top_q):
-    return verify._self_ext_threshold(soc.fibre_terms(soc.ext_decomposition(a, a), top_q))
+    return soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), top_q), 1)
 
 
 def test_pair_first_semiorthogonality_matches_the_single_d_reports():
@@ -240,7 +264,7 @@ def test_label_first_self_exts_match_the_single_d_reports():
                 for x, y in ((a, b), (b, a)):
                     ext = soc.ext_decomposition(x, y)
                     vanishes = cohomology(BundleExpr.from_qdual(d, 2, ext)).is_zero()
-                    assert (d >= verify._threshold(ext.terms)) == vanishes, (d, x, y)
+                    assert (d >= soc.threshold(soc.fibre_terms(ext, 0), 0)) == vanishes, (d, x, y)
                 pairs += 1
                 forward_failing += not vanishes
     assert (labels, pairs) == (83, 756) and forward_failing > 0
