@@ -18,7 +18,6 @@ from .bwb import BWBOutcome, BundleExpr, GradedCohomology, bwb_single, cohomolog
 from .bundle_calculus import planar_rank_identity, wedge2_middle, wedge_nprime
 from .soc import (
     VerificationReport,
-    check_cotangent_simple,
     check_exceptional,
     check_fully_faithful,
     check_semiorthogonal,
@@ -53,7 +52,6 @@ __all__ = [
     "check_exceptional",
     "check_fully_faithful",
     "check_semiorthogonal",
-    "check_cotangent_simple",
     "enumerate_ff",
     "enumerate_sos",
     "kummer_count",

@@ -1,17 +1,18 @@
-"""Verification layer: Ext decompositions, exceptionality, fully-faithfulness,
-semi-orthogonality, enumeration of the admissible labels and the Kummer count.
+"""The fibre layer on G(2,d): Ext decompositions, exceptionality,
+fully-faithfulness, semi-orthogonality, enumeration of the admissible labels
+and the Kummer count.
 
-All checks reduce questions about the kernels S^alpha Q^v on the fibre
-Grassmannian G(2,d) to sheaf cohomology of twisted Schur bundles, computed
-term by term through the Borel-Weil-Bott module.  The summands of
+Every check here is about the kernels S^alpha Q^v on the fibre Grassmannian
+G(2,d), reduced to sheaf cohomology of twisted Schur bundles, computed term
+by term through the Borel-Weil-Bott module.  The summands of
 wedge^q N' (x) Ext, the fibre terms, do not depend on d; only the
 Borel-Weil-Bott verdict on each does, so a check builds the terms once
 (``fibre_terms``) and a report traces them on one G(2,d).  The checkers
 record a full witness trace: one (q, summand weight, outcome) triple per
 bundle summand that had to vanish (or survive).  The trace is the only
 result: each verdict and Hom dimension is read from its records.  The
-verdict rule is stated here once (``_report``), and ``threshold`` applies
-it to every d at once.
+verdict rule is stated here once (``_report``, the one maker of a
+``VerificationReport``), and ``threshold`` applies it to every d at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from math import inf
 
 from .bundle_calculus import wedge_nprime
-from .bwb import BWBOutcome, BundleExpr, bwb_single, vanishing_threshold
+from .bwb import BWBOutcome, bwb_single, vanishing_threshold
 from .partitions import Value, Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
 
@@ -136,16 +137,11 @@ def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord
     return conditions
 
 
-def _hom_dimension(conditions: list[ConditionRecord]) -> int:
-    """Dimension of the degree-0 cohomology at q = 0, summed over the trace."""
-    return sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
-
-
 def _report(d: int, a: Weight, b: Weight | None, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
     """Pass iff Hom is 1 for a self-Ext (b is None), 0 for a pair (Schur's lemma), and no required record survives."""
     conditions = _trace(d, terms)
     survivors = [c for c in conditions if not c.outcome.is_zero]  # a zero record adds nothing to Hom
-    hom = _hom_dimension(survivors)
+    hom = sum(c.outcome.dimension() for c in survivors if c.q == 0 and c.outcome.degree == 0)
     ok = hom == (b is None) and not any(c.required_zero for c in survivors)
     return VerificationReport(ok, d, a, b, conditions, hom, kind)
 
@@ -178,8 +174,11 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
 
     Requires End = k in degree 0 (q = 0) and total vanishing of the
     cohomology of wedge^q N' (x) End for q = 1..4.  Guaranteed to pass
-    when width(alpha) <= d-5; for wider labels the trace records whatever
-    fails, with no claim of a converse.
+    when width(alpha) <= d-5, and the converse holds on the whole box at
+    d = 16: there every label's threshold is width(alpha) + 5, so the check
+    fails exactly when width(alpha) > d-5 (pinned by
+    ``test_thresholds_meet_the_papers_bounds_at_every_d`` in
+    ``tests/test_verify.py``).  The trace records what fails.
     """
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
@@ -227,45 +226,3 @@ def enumerate_sos(d: int) -> list[Weight]:
 def kummer_count(d: int) -> int:
     """Length of the induced exceptional sequence on the third Kummer fibre."""
     return len(enumerate_sos(d)) * 3 ** (2 * d)
-
-
-def check_cotangent_simple(k: int, d: int) -> VerificationReport:
-    """Self-Exts of the cotangent bundle K (x) Q^v of G(k,d).
-
-    For 2 <= k <= d-2 the answer is exactly k in degree 0 and the
-    traceless adjoint weight (1,0,...,0,-1) in degree 1; in every case the
-    degree-0 part must be one-dimensional.
-    """
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-    gamma = Weight((1,) + (0,) * (d - k - 1))
-    delta = Weight((1,) + (0,) * (k - 1))
-    omega = BundleExpr(d, k, {(gamma, delta): 1})
-    ends = omega.tensor(omega.dual())
-    terms = sorted(ends.terms.items(), key=lambda t: (t[0][0].entries, t[0][1].entries))
-    adjoint_pair = (1,) + (0,) * (d - k - 2) + (-1,) if d - k >= 2 else None
-    adjoint_qpair = (1,) + (0,) * (k - 2) + (-1,) if k >= 2 else None
-    conditions: list[ConditionRecord] = []
-    for (g, q), c in terms:
-        outcome = bwb_single(d, k, g, q)
-        concatenated = g.entries + q.entries
-        expected_survivor = all(e == 0 for e in concatenated) or (
-            g.entries == adjoint_pair and q.entries == adjoint_qpair
-        )
-        for _ in range(c):
-            conditions.append(ConditionRecord(0, concatenated, outcome, not expected_survivor))
-    hom_dim = _hom_dimension(conditions)
-    verdict = hom_dim == 1
-    if 2 <= k <= d - 2:
-        survivors = sorted(
-            (c.outcome.degree, c.outcome.weight.entries) for c in conditions if not c.outcome.is_zero
-        )
-        verdict = survivors == [(0, (0,) * d), (1, (1,) + (0,) * (d - 2) + (-1,))]
-    return VerificationReport(
-        verdict,
-        d,
-        delta,
-        conditions=conditions,
-        hom_dimension=hom_dim,
-        kind="cotangent_simple",
-    )

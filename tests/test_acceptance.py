@@ -15,7 +15,6 @@ from schurbott import (
     Weight,
     bwb_single,
     char_of,
-    check_cotangent_simple,
     check_exceptional,
     check_fully_faithful,
     check_semiorthogonal,
@@ -25,6 +24,7 @@ from schurbott import (
     kummer_count,
     planar_rank_identity,
     tensor,
+    verify,
     wedge2_middle,
     wedge_nprime,
 )
@@ -120,16 +120,8 @@ def test_06_normal_bundle_identities(report):
 
 
 def test_07_cotangent_simplicity(report):
-    for d in range(4, 9):
-        for k in range(2, d - 1):
-            result = check_cotangent_simple(k, d)
-            assert result.verdict, (k, d)
-            degree1 = [
-                c
-                for c in result.conditions
-                if not c.outcome.is_zero and c.outcome.degree == 1
-            ]
-            assert sum(c.outcome.dimension() for c in degree1) == d * d - 1
+    # End(Omega) on each G(k,d), 2 <= k <= d-2, d = 4..8, is its closed form
+    assert verify.check_cotangent(8) == verify.CheckResult("cotangent-simplicity", True, "15 Grassmannians, d <= 8")
     report["ok"] = True
 
 

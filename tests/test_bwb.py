@@ -219,16 +219,26 @@ class TestBundleExpr:
         with pytest.raises(ValueError):
             BundleExpr(5, 2, {(Weight((1, 0)), Weight((1, 0))): 1})
 
+    def test_rejects_bad_k(self):
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="need 1 <= k <= d-1"):
+                BundleExpr(5, k, {})
+
 
 class TestCohomology:
     def test_cotangent_endomorphisms_on_grassmannian(self):
-        # End of the cotangent bundle of G(2,5): trivial rep in degree 0,
-        # the traceless adjoint in degree 1
-        omega = BundleExpr(5, 2, {(Weight((1, 0, 0)), Weight((1, 0))): 1})
-        coh = cohomology(omega.tensor(omega.dual()))
-        assert coh.dimensions() == {0: 1, 1: 24}
-        assert coh.groups[1] == RepElement.schur(5, (1, 0, 0, 0, -1))
-        assert weyl_dim(Weight((1, 0, 0, 0, -1))) == 24
+        # End of the cotangent bundle of G(k,d): the trivial rep in degree 0,
+        # plus the traceless adjoint in degree 1 unless G(k,d) is a projective space
+        for d in range(2, 9):
+            for k in range(1, d):
+                omega = BundleExpr(d, k, {(weight(1, *(0,) * (d - k - 1)), weight(1, *(0,) * (k - 1))): 1})
+                coh = cohomology(omega.tensor(omega.dual()))
+                expected = {0: RepElement.one(d)}
+                if 2 <= k <= d - 2:
+                    expected[1] = RepElement.schur(d, (1,) + (0,) * (d - 2) + (-1,))
+                assert coh.groups == expected, (k, d)
+                if (k, d) == (2, 5):
+                    assert coh.dimensions() == {0: 1, 1: 24}
 
     def test_zero_object(self):
         coh = cohomology(BundleExpr(5, 2, {}))

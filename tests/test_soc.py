@@ -8,11 +8,10 @@ import pytest
 from schurbott import soc
 from schurbott.bundle_calculus import wedge_nprime
 from schurbott.bwb import BundleExpr, cohomology
-from schurbott.partitions import Weight, precedes, sort_key
+from schurbott.partitions import precedes, sort_key
 from schurbott.rep_ring import RepElement, dual, tensor
 from schurbott.soc import (
     box_partitions,
-    check_cotangent_simple,
     check_exceptional,
     check_fully_faithful,
     check_semiorthogonal,
@@ -223,32 +222,6 @@ class TestKummerCount:
             kummer_count(4)
 
 
-class TestCotangentSimple:
-    def test_grassmannians(self):
-        for d in (4, 5, 6):
-            for k in range(2, d - 1):
-                report = check_cotangent_simple(k, d)
-                assert report.verdict, (k, d)
-                assert report.hom_dimension == 1
-                assert not report.failures()
-                ext1 = [
-                    c
-                    for c in report.conditions
-                    if not c.outcome.is_zero and c.outcome.degree == 1
-                ]
-                assert sum(c.outcome.dimension() for c in ext1) == d * d - 1
-
-    def test_projective_space_edge(self):
-        report = check_cotangent_simple(1, 5)
-        assert report.hom_dimension == 1
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            check_cotangent_simple(0, 5)
-        with pytest.raises(ValueError):
-            check_cotangent_simple(5, 5)
-
-
 def graded(d, ext, top_q):
     """H^*(wedge^q N' (x) ext) on G(2,d) for q = 0..top_q, grouped by degree."""
     return [
@@ -288,17 +261,3 @@ class TestVerdictsMatchGradedCohomology:
                     assert (report.verdict, report.hom_dimension) == (expected, hom), (d, a, b)
                     verdicts.add(expected)
         assert verdicts == {True, False}
-
-    def test_cotangent(self):
-        for d in range(2, 9):
-            for k in range(1, d):
-                gamma = Weight((1,) + (0,) * (d - k - 1))
-                omega = BundleExpr(d, k, {(gamma, Weight((1,) + (0,) * (k - 1))): 1})
-                coh = cohomology(omega.tensor(omega.dual()))
-                hom = coh.dimensions().get(0, 0)
-                expected = hom == 1
-                if 2 <= k <= d - 2:
-                    adjoint = RepElement.schur(d, (1,) + (0,) * (d - 2) + (-1,))
-                    expected = expected and coh.groups == {0: RepElement.one(d), 1: adjoint}
-                report = check_cotangent_simple(k, d)
-                assert (report.verdict, report.hom_dimension) == (expected, hom), (k, d)

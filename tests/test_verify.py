@@ -4,9 +4,9 @@ import pytest
 
 from schurbott import bundle_calculus as bc
 from schurbott import rep_ring as rr
-from schurbott import soc, verify
-from schurbott.bwb import BundleExpr, cohomology
-from schurbott.partitions import Weight
+from schurbott import bwb, soc, verify
+from schurbott.bwb import BWBOutcome, BundleExpr, cohomology
+from schurbott.partitions import Weight, trivial
 from schurbott.rep_ring import CharPoly, RepElement
 
 
@@ -32,6 +32,22 @@ def test_normal_bundle_fails_on_a_wrong_wedge_with_the_right_rank(monkeypatch):
     monkeypatch.setattr(bc, "wedge_nprime", lambda q: wrong if q == 2 else wedge(q))
     result = verify.check_normal_bundle(12)
     assert not result.passed and result.detail == "mismatch"
+
+
+def test_cotangent_simplicity_fails_on_a_surviving_summand(monkeypatch):
+    assert verify.check_cotangent(8).passed
+    single = bwb.bwb_single
+
+    def surviving(d, k, gamma, delta):
+        # S(1,-1) Q^v with trivial K, a vanishing summand of End(Omega) on G(2,5), survives in degree 2
+        if (d, k, gamma, delta) == (5, 2, trivial(3), Weight((1, -1))):
+            assert single(d, k, gamma, delta).is_zero
+            return BWBOutcome(degree=2, weight=Weight((1, 0, 0, 0, -1)))
+        return single(d, k, gamma, delta)
+
+    monkeypatch.setattr(soc, "bwb_single", surviving)
+    monkeypatch.setattr(bwb, "bwb_single", surviving)
+    assert verify.check_cotangent(8) == verify.CheckResult("cotangent-simplicity", False, "G(2,5) failed")
 
 
 @pytest.mark.parametrize("wrong", [((1, 0, 0), (2, 1, 0)), ((2, 1, 0), (1, 0, 0))])
