@@ -154,6 +154,8 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
     letters in up to max_rows.  The row cap then becomes a cap on the first
     row, and each shape is conjugated back at the end.
     """
+    if len(alpha) > max_rows or len(beta) > max_rows:
+        return ()  # every shape nu contains both factors
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha  # symmetric; iterate over the smaller factor
     conjugated = bool(beta) and beta[0] * (alpha[0] + beta[0]) < len(beta) * min(max_rows, len(alpha) + len(beta))

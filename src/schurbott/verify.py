@@ -3,12 +3,12 @@
 Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
 check is a strict equality with zero tolerance.  The checks that sweep d
-walk each label or pair once: its fibre terms (``soc.fibre_terms``) do not
-depend on d, and ``soc.threshold``, which holds the fibre verdict rule,
-reads from them the least d from which they pass.  These checks only
-compare that d with the d-range each label or pair is swept over.  The
-failure reported is still the one a d-major loop meets first: the least
-d, then self-Exts before backward pairs, then the partition order.
+first read one threshold per label or pair: its fibre terms
+(``soc.fibre_terms``) do not depend on d, and ``soc.threshold``, which
+holds the fibre verdict rule, reads from them the least d from which they
+pass.  Each sweep then walks d upward and stops at its first failure, so
+the failure reported is the one at the least d, then self-Exts before
+backward pairs, then the partition order.
 Cotangent-simplicity lives on G(k,d) rather than the fibre, so it compares
 ``bwb.cohomology`` with its closed form directly.
 """
@@ -45,8 +45,16 @@ D_CAPS = {
 }
 
 
+def _top(name: str, first: int, d_max: int) -> int:
+    """The largest d the check ``name`` runs from ``first``; an empty d-range is a usage error."""
+    top = min(D_CAPS[name], d_max)
+    if top < first:
+        raise ValueError(f"{name} needs d_max at least {first}, got {d_max}")
+    return top
+
+
 def check_counting(d_max: int) -> CheckResult:
-    top = min(D_CAPS["counting"], d_max)
+    top = _top("counting", 5, d_max)
     for d in range(5, top + 1):
         n_ff = len(soc.enumerate_ff(d))
         n_sos = len(soc.enumerate_sos(d))
@@ -58,51 +66,41 @@ def check_counting(d_max: int) -> CheckResult:
 
 
 def check_kummer(d_max: int) -> CheckResult:
+    top = _top("kummer-count", 5, d_max)
     if soc.kummer_count(5) != 59049:
         return CheckResult("kummer-count", False, "d=5 count != 3^10")
-    top = min(D_CAPS["kummer-count"], d_max)
     for d in range(5, top + 1):
         if soc.kummer_count(d) != comb(d - 3, 2) * 3 ** (2 * d):
             return CheckResult("kummer-count", False, f"d={d} mismatch")
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
-def _least_d(labels_at: Callable[[int], list[Weight]], dims: range) -> dict[Weight, int]:
-    """The least d in dims at which each label is listed; the lists grow with d."""
-    return {a: d for d in reversed(dims) for a in labels_at(d)}
-
-
 def check_fully_faithful(d_max: int) -> CheckResult:
     total = 0
-    top = min(D_CAPS["fully-faithful"], d_max)
-    least = _least_d(soc.enumerate_ff, range(5, top + 1))
-    fail_d, fail = top + 1, ""
-    for a in soc.enumerate_ff(top):
-        d = least[a]  # one threshold decides every d, so a label fails, if at all, at its least d
-        if d < fail_d and d < soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4), 1):
-            fail_d, fail = d, f"d={d}, alpha={a} failed"
-        total += top + 1 - d
-    if fail:
-        return CheckResult("fully-faithful", False, fail)
+    top = _top("fully-faithful", 5, d_max)
+    thresholds = {a: soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4), 1) for a in soc.enumerate_ff(top)}
+    for d in range(5, top + 1):
+        for a in soc.enumerate_ff(d):
+            if d < thresholds[a]:
+                return CheckResult("fully-faithful", False, f"d={d}, alpha={a} failed")
+            total += 1
     return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
 
 
 def check_semiorthogonal(d_max: int) -> CheckResult:
-    """The closed form against Brauer-Klimyk for every pair of the box, each bounded pair swept from it.
+    """The closed form against Brauer-Klimyk for every pair of the box, then a sweep of the bounded pairs.
 
     ``soc.ext_decomposition(a, b)`` must equal ``_brauer_klimyk(a, b.dual())``,
     the expansion that ``oracle-equivalence`` also reads, which shares no
     code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
-    are in the box and alpha_1 - beta_2 <= d-5; it passes at d iff d reaches
-    the threshold of its fibre terms, so it fails, if at all, at its least
-    bounded d.  A closed-form mismatch comes first; at each d, a sweep failure
-    comes before a pair of ``soc.enumerate_sos(d)`` that does not pass there.
+    are in the box and alpha_1 - beta_2 <= d-5.  Each bounded pair's
+    threshold is read once; the sweep then walks d upward and stops at the
+    first bounded pair below its threshold, or at the first d where a pair
+    of ``soc.enumerate_sos(d)`` is not bounded.
     """
     total = 0
-    top = min(D_CAPS["semi-orthogonality"], d_max)
-    least = _least_d(soc.box_partitions, range(5, top + 1))
-    passes_from: dict[tuple[Weight, Weight], int] = {}
-    fail_d, fail = top + 1, ""
+    top = _top("semi-orthogonality", 5, d_max)
+    thresholds: dict[tuple[Weight, Weight], float] = {}
     # This cap is the largest of the kernel checks, so the box at top holds
     # every (alpha, beta) that any of them passes through ext_decomposition.
     labels = soc.box_partitions(top)
@@ -116,43 +114,37 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
                     "semi-orthogonality", False,
                     f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
                 )
-            bounded = range(max(least[a], least[b], a.entries[0] - b.entries[1] + 5), fail_d)
-            if j == i or not bounded:
-                continue  # a label with itself is compared only
-            if bounded[0] < soc.threshold(soc.fibre_terms(closed, 4), 0):
-                fail_d, fail = bounded[0], f"d={bounded[0]}, {a} before {b} failed"
-            else:
-                total += len(bounded)
-                passes_from[a, b] = bounded[0]
+            if j > i and a.entries[0] - b.entries[1] <= top - 5:  # a label with itself is compared only
+                thresholds[a, b] = soc.threshold(soc.fibre_terms(closed, 4), 0)
     for d in range(5, top + 1):
-        if d == fail_d:
-            return CheckResult("semi-orthogonality", False, fail)
-        if any(passes_from.get(pair, d + 1) > d for pair in combinations(soc.enumerate_sos(d), 2)):
+        swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
+        for a, b in swept:
+            if d < thresholds[a, b]:
+                return CheckResult("semi-orthogonality", False, f"d={d}, {a} before {b} failed")
+        if not set(combinations(soc.enumerate_sos(d), 2)) <= set(swept):
             return CheckResult("semi-orthogonality", False, f"d={d}: sequence pairs not all covered")
+        total += len(swept)
     return CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{top}")
 
 
 def check_exceptional_collection(d_max: int) -> CheckResult:
     total = 0
-    top = min(D_CAPS["exceptional-collection"], d_max)
-    least = _least_d(soc.box_partitions, range(3, top + 1))
-    fail_d, fail = top + 1, ""
+    top = _top("exceptional-collection", 3, d_max)
     labels = soc.box_partitions(top)
-    # every self-Ext first: at one d, a d-major loop meets them before any backward pair
-    for a in labels:
-        d = least[a]
-        if d < fail_d and d < soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0), 1):
-            fail_d, fail = d, f"d={d}, alpha={a}"
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            d = max(least[a], least[b])
-            ext = soc.ext_decomposition(a, b)
-            if d < fail_d and d < soc.threshold(soc.fibre_terms(ext, 0), 0):
-                coh = cohomology(BundleExpr.from_qdual(d, 2, ext))  # only to print what survives
-                fail_d, fail = d, f"d={d}: backward Ext {a} before {b}: {coh}"
-            total += top + 1 - d
-    if fail:
-        return CheckResult("exceptional-collection", False, fail)
+    thresholds = {a: soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0), 1) for a in labels}
+    for a, b in combinations(labels, 2):
+        thresholds[a, b] = soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, b), 0), 0)
+    for d in range(3, top + 1):
+        box = soc.box_partitions(d)
+        for a in box:
+            if d < thresholds[a]:
+                return CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
+        for a, b in combinations(box, 2):
+            if d < thresholds[a, b]:
+                # Borel-Weil-Bott runs only to print what survives
+                coh = cohomology(BundleExpr.from_qdual(d, 2, soc.ext_decomposition(a, b)))
+                return CheckResult("exceptional-collection", False, f"d={d}: backward Ext {a} before {b}: {coh}")
+            total += 1
     return CheckResult(
         "exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{top}"
     )
@@ -191,7 +183,7 @@ def check_cotangent(d_max: int) -> CheckResult:
     S(1,0,...,0,-1) in degree 1, and nothing else: Omega is simple.
     """
     total = 0
-    top = min(D_CAPS["cotangent-simplicity"], d_max)
+    top = _top("cotangent-simplicity", 4, d_max)
     for d in range(4, top + 1):
         expected = {0: rr.RepElement.one(d), 1: rr.RepElement.schur(d, (1,) + (0,) * (d - 2) + (-1,))}
         for k in range(2, d - 1):
@@ -286,7 +278,7 @@ def check_pieri(d_max: int) -> CheckResult:
 
 def check_rank_identity(d_max: int) -> CheckResult:
     """The closed form against a count: d - l linear forms plus the quadratic monomials in l."""
-    top = min(D_CAPS["rank-identity"], d_max)
+    top = _top("rank-identity", 1, d_max)
     for d in range(1, top + 1):
         for l in range(1, d + 1):
             quadratic = len(list(combinations_with_replacement(range(l), 2)))

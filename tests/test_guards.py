@@ -66,8 +66,9 @@ def test_verify_paper_runs_the_same_under_dash_o():
 
 def test_run_all_streams_its_sweeps():
     # the d-sweeping checks build each label's or pair's fibre terms once,
-    # keep one at a time and keep only its threshold: the suite peaks near
-    # 0.45 MB, and a table of every pair's terms would add about 2.3 MB
+    # keep one at a time and keep only its threshold, in one dict per check:
+    # the suite peaks near 0.44 MB, and a table of every pair's terms would
+    # add about 2.3 MB
     code = (
         "import tracemalloc; from schurbott import verify; tracemalloc.start(); "
         "verify.run_all(12); print(tracemalloc.get_traced_memory()[1])"

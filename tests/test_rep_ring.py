@@ -149,6 +149,18 @@ class TestLR:
                 dropped += lr_coefficients(a, b, rank) != lr_coefficients(a, b, len(a) + len(b))
             assert dropped, rank
 
+    def test_a_factor_taller_than_the_row_cap_leaves_no_shape(self):
+        # every shape of the product holds both factors, so the capped
+        # expansion is the full one without the shapes past the cap
+        assert lr_coefficients((2, 1, 1, 1), (2,), 3) == ()
+        assert lr_coefficients((1, 1), (1, 1), 1) == ()
+        shapes = [p for n in range(5) for p in partitions_of(n, 4)]
+        for a, b in itertools.product(shapes, repeat=2):
+            full = lr_coefficients(a, b, len(a) + len(b))
+            for max_rows in (1, 2, 3):
+                expected = tuple((nu, c) for nu, c in full if len(nu) <= max_rows)
+                assert lr_coefficients(a, b, max_rows) == expected, (a, b, max_rows)
+
     def test_both_orders_share_one_computation_unless_sizes_tie(self):
         # tensor passes the larger factor first, so a pair's two orders are
         # one cache entry; factors of equal size keep one entry per order

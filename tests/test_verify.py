@@ -1,4 +1,6 @@
-from itertools import product
+import hashlib
+import json
+from itertools import combinations, product
 
 import pytest
 
@@ -302,3 +304,106 @@ def test_thresholds_meet_the_papers_bounds_at_every_d():
             pairs += 1
             sharp += t == bound
     assert (pairs, sharp) == (7140, 5775)
+
+
+@pytest.mark.parametrize(
+    "check, first",
+    [
+        (verify.check_counting, 5),
+        (verify.check_kummer, 5),
+        (verify.check_fully_faithful, 5),
+        (verify.check_semiorthogonal, 5),
+        (verify.check_exceptional_collection, 3),
+        (verify.check_cotangent, 4),
+        (verify.check_rank_identity, 1),
+    ],
+)
+def test_an_empty_d_range_is_a_usage_error(check, first):
+    with pytest.raises(ValueError, match=f"d_max at least {first}, got {first - 1}"):
+        check(first - 1)
+
+
+def test_run_all_matches_its_pinned_digest_at_every_cap():
+    # every verdict and detail of the suite for d_max = 5..12, so each
+    # distinct cap of every check and each of its totals is pinned
+    results = [r.to_json() for d in range(5, 13) for r in verify.run_all(d)]
+    text = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0a47353e291fece3c6acb765e110aac549be4192290974f091d8a16a15dd6b83"
+    )
+
+
+def _d_major_fully_faithful(top):
+    total = 0
+    for d in range(5, top + 1):
+        for a in soc.enumerate_ff(d):
+            if not soc.check_fully_faithful(a, d).verdict:
+                return verify.CheckResult("fully-faithful", False, f"d={d}, alpha={a} failed")
+            total += 1
+    return verify.CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
+
+
+def _d_major_semiorthogonal(top):
+    total = 0
+    for d in range(5, top + 1):
+        swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
+        for a, b in swept:
+            if not soc.check_semiorthogonal(a, b, d).verdict:
+                return verify.CheckResult("semi-orthogonality", False, f"d={d}, {a} before {b} failed")
+        if not set(combinations(soc.enumerate_sos(d), 2)) <= set(swept):
+            return verify.CheckResult("semi-orthogonality", False, f"d={d}: sequence pairs not all covered")
+        total += len(swept)
+    return verify.CheckResult("semi-orthogonality", True, f"{total} ordered pairs pass, d = 5..{top}")
+
+
+def _d_major_exceptional_collection(top):
+    total = 0
+    for d in range(3, top + 1):
+        box = soc.box_partitions(d)
+        for a in box:
+            if not soc.check_exceptional(a, d).verdict:
+                return verify.CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
+        for a, b in combinations(box, 2):
+            coh = cohomology(BundleExpr.from_qdual(d, 2, soc.ext_decomposition(a, b)))
+            if not coh.is_zero():
+                return verify.CheckResult("exceptional-collection", False, f"d={d}: backward Ext {a} before {b}: {coh}")
+            total += 1
+    return verify.CheckResult("exceptional-collection", True, f"{total} backward pairs vanish, d = 3..{top}")
+
+
+@pytest.mark.parametrize(
+    "q, extra, d_max",
+    [
+        (1, (3, 3), 9),  # both pass
+        (2, (0, 0), 9),  # fully-faithful fails at d = 5, semi-orthogonality passes
+        (2, (4, -4), 9),  # d = 5 and d = 6
+        (4, (1, -1), 7),  # d = 6
+        (3, (2, -2), 8),  # d = 7
+        (1, (3, -3), 9),  # d = 8
+    ],
+    ids=["pass", "ff-only", "d5-d6", "d6", "d7", "d8"],
+)
+def test_kernel_sweeps_match_a_d_major_loop_over_the_single_d_reports(monkeypatch, q, extra, d_max):
+    # an extra summand of wedge^q N' reaches the fibre terms both routes read,
+    # and leaves the closed form alone
+    wedge = soc.wedge_nprime
+    extra = RepElement.schur(2, extra)
+    monkeypatch.setattr(soc, "wedge_nprime", lambda p: wedge(p) + (extra if p == q else RepElement.zero(2)))
+    assert verify.check_fully_faithful(d_max) == _d_major_fully_faithful(d_max)
+    assert verify.check_semiorthogonal(d_max) == _d_major_semiorthogonal(d_max)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        lambda a, b: False,  # passes
+        lambda a, b: a == b == Weight((2, 1)),  # a self-Ext at d = 4
+        lambda a, b: a != b and a.entries[0] >= 4,  # a backward pair at d = 6
+        lambda a, b: b == Weight((5, 0)),  # at d = 7, its self-Ext before its backward pairs
+    ],
+    ids=["pass", "self-ext", "pair", "self-ext-first"],
+)
+def test_exceptional_collection_matches_a_d_major_loop_over_the_single_d_reports(monkeypatch, where):
+    # an extra S(0,0) in the Ext decomposition, which never vanishes
+    _with_trivial_summand(monkeypatch, where)
+    assert verify.check_exceptional_collection(8) == _d_major_exceptional_collection(8)
