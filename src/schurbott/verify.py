@@ -3,10 +3,11 @@
 Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
 check is a strict equality with zero tolerance.  The checks that sweep d
-first read one threshold per label or pair: its fibre terms
-(``soc.fibre_terms``) do not depend on d, and ``soc.threshold``, which
-holds the fibre verdict rule, reads from them the least d from which they
-pass.  Each sweep then walks d upward and stops at its first failure, so
+first read a threshold once per distinct Ext, compared on every label or
+pair: its fibre terms (``soc.fibre_terms``) do not depend on d, nor on a
+shift of both labels by (c,c), and ``soc.threshold``, which holds the
+fibre verdict rule, reads from them the least d from which they pass.
+Each sweep then walks d upward and stops at its first failure, so
 the failure reported is the one at the least d, then self-Exts before
 backward pairs, then the partition order.
 Cotangent-simplicity lives on G(k,d) rather than the fibre, so it compares
@@ -75,10 +76,18 @@ def check_kummer(d_max: int) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
+def _threshold(seen: dict, ext: rr.RepElement, top_q: int, hom: int) -> float:
+    """``soc.threshold`` of ``ext``'s fibre terms, computed once per distinct (Ext, Hom) in ``seen``."""
+    key = frozenset(ext.terms.items()), hom
+    if key not in seen:
+        seen[key] = soc.threshold(soc.fibre_terms(ext, top_q), hom)
+    return seen[key]
+
+
 def check_fully_faithful(d_max: int) -> CheckResult:
-    total = 0
+    total, seen = 0, {}
     top = _top("fully-faithful", 5, d_max)
-    thresholds = {a: soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 4), 1) for a in soc.enumerate_ff(top)}
+    thresholds = {a: _threshold(seen, soc.ext_decomposition(a, a), 4, 1) for a in soc.enumerate_ff(top)}
     for d in range(5, top + 1):
         for a in soc.enumerate_ff(d):
             if d < thresholds[a]:
@@ -94,11 +103,12 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     the expansion that ``oracle-equivalence`` also reads, which shares no
     code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
     are in the box and alpha_1 - beta_2 <= d-5.  Each bounded pair's
-    threshold is read once; the sweep then walks d upward and stops at the
+    threshold is read from its closed form, computed once per distinct Ext
+    and compared on every pair; the sweep then walks d upward and stops at the
     first bounded pair below its threshold, or at the first d where a pair
     of ``soc.enumerate_sos(d)`` is not bounded.
     """
-    total = 0
+    total, seen = 0, {}
     top = _top("semi-orthogonality", 5, d_max)
     thresholds: dict[tuple[Weight, Weight], float] = {}
     # This cap is the largest of the kernel checks, so the box at top holds
@@ -115,7 +125,7 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
                     f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
                 )
             if j > i and a.entries[0] - b.entries[1] <= top - 5:  # a label with itself is compared only
-                thresholds[a, b] = soc.threshold(soc.fibre_terms(closed, 4), 0)
+                thresholds[a, b] = _threshold(seen, closed, 4, 0)
     for d in range(5, top + 1):
         swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
         for a, b in swept:
@@ -128,12 +138,12 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
 
 
 def check_exceptional_collection(d_max: int) -> CheckResult:
-    total = 0
+    total, seen = 0, {}
     top = _top("exceptional-collection", 3, d_max)
     labels = soc.box_partitions(top)
-    thresholds = {a: soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, a), 0), 1) for a in labels}
+    thresholds = {a: _threshold(seen, soc.ext_decomposition(a, a), 0, 1) for a in labels}
     for a, b in combinations(labels, 2):
-        thresholds[a, b] = soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, b), 0), 0)
+        thresholds[a, b] = _threshold(seen, soc.ext_decomposition(a, b), 0, 0)
     for d in range(3, top + 1):
         box = soc.box_partitions(d)
         for a in box:

@@ -274,6 +274,15 @@ class TestRingLaws:
         assert tensor(x, RepElement.one(3)) == x
         assert tensor(x, RepElement.zero(3)).is_zero()
 
+    def test_subtraction(self):
+        x = S(3, 2, 1, 0) + S(3, 1, 1, 1).scaled(2)
+        y = S(3, 2, 1, 0).scaled(3) - S(3, 3, 0, 0)  # y and x - y both have a negative coefficient
+        assert (x - x).is_zero()
+        assert x - y == S(3, 2, 1, 0).scaled(-2) + S(3, 1, 1, 1).scaled(2) + S(3, 3, 0, 0)
+        assert (x - y) + y == x
+        with pytest.raises(ValueError, match="rank mismatch"):
+            x - S(2, 1, 0)
+
     @given(small_partition, small_partition)
     @settings(max_examples=40, deadline=None)
     def test_dimension_multiplicative(self, a, b):

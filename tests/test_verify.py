@@ -235,6 +235,61 @@ def test_self_ext_checks_fail_on_a_doubled_identity(monkeypatch, label, ff_detai
     assert (exc.passed, exc.detail) == (False, exc_detail)
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Count the calls to ``module.name`` in ``calls[name]``."""
+    function = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "check, d_max, expected",
+    [
+        # the closed form meets Brauer-Klimyk on all 666 pairs of the box at
+        # d = 9, but its 330 bounded pairs hold only 49 distinct Exts
+        (verify.check_semiorthogonal, 9, {"ext_decomposition": 666, "_brauer_klimyk": 666, "fibre_terms": 49}),
+        (verify.check_exceptional_collection, 8, {"ext_decomposition": 406, "fibre_terms": 106}),
+        (verify.check_fully_faithful, 9, {"ext_decomposition": 30, "fibre_terms": 5}),
+    ],
+    ids=["semi-orthogonality", "exceptional-collection", "fully-faithful"],
+)
+def test_kernel_sweeps_read_one_threshold_per_distinct_ext(monkeypatch, check, d_max, expected):
+    calls = dict.fromkeys(expected, 0)
+    for name in expected:
+        _counting(monkeypatch, verify if name == "_brauer_klimyk" else soc, name, calls)
+    assert check(d_max).passed
+    assert calls == expected
+
+
+def test_semiorthogonality_fails_the_one_pair_whose_ext_changed(monkeypatch):
+    # (5,3) before (4,4) and (4,2) before (3,3) share the Ext S(1,-1), and the
+    # threshold loop reads (5,3)'s first; an extra S(0,0) in the Ext of
+    # (4,2) before (3,3) alone, through the closed form and Brauer-Klimyk
+    # alike, must fail that pair and no other
+    a, b = Weight((4, 2)), Weight((3, 3))
+    same = soc.ext_decomposition(Weight((5, 3)), Weight((4, 4)))
+    assert soc.ext_decomposition(a, b) == same == RepElement.schur(2, (1, -1))
+    labels = soc.box_partitions(9)
+    assert labels.index(Weight((5, 3))) < labels.index(a)
+    assert verify.check_semiorthogonal(9).passed  # nothing carries over from this call
+    _with_trivial_summand(monkeypatch, lambda x, y: (x, y) == (a, b))
+    brauer_klimyk = verify._brauer_klimyk
+
+    def with_trivial(x, y):
+        expected = brauer_klimyk(x, y)
+        if (x, y) == (a, b.dual()):
+            expected[trivial(2)] = expected.get(trivial(2), 0) + 1
+        return expected
+
+    monkeypatch.setattr(verify, "_brauer_klimyk", with_trivial)
+    result = verify.check_semiorthogonal(9)
+    assert (result.passed, result.detail) == (False, "d=6, (4,2) before (3,3) failed")
+
+
 def _pair_threshold(a, b):
     return soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, b), 4), 0)
 
