@@ -18,12 +18,14 @@ k+1..d, so the bundle's cohomology vanishes iff some delta_i + k - i lies in
 that interval, and ``bwb_single`` checks that first, from the Q-part alone.
 Only d bounds the interval, so the d at which such a bundle vanishes form an
 up-set {d >= T}: T is the least value delta_i + k - i above k, that is over
-the i with delta_i > i, and there is no T when no such i exists
+the i with delta_i > i, and T is infinite when no such i exists
 (``vanishing_threshold``).  ``bwb_single``'s witness stays the first such
 value in the interval, which need not be T.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from .partitions import Frozen, Value, Weight, trivial
 from .rep_ring import RepElement, tensor as _rep_tensor, weyl_dim
@@ -100,14 +102,13 @@ def bwb_single(d: int, k: int, gamma, delta) -> BWBOutcome:
     return BWBOutcome(degree=degree, weight=Weight(beta))
 
 
-def vanishing_threshold(k: int, delta: Weight) -> int | None:
-    """The least d at which S^delta Q^v with trivial K vanishes on G(k,d), or None if it never does.
+def vanishing_threshold(k: int, delta: Weight) -> float:
+    """The least d at which S^delta Q^v with trivial K vanishes on G(k,d), or inf if it never does.
 
     It vanishes on G(k,d) exactly when d is at least this threshold: the
     trivial-K interval rule of the module docstring, read for every d at once.
     """
-    values = [e + k - i for i, e in enumerate(delta.entries) if e > i]
-    return min(values) if values else None
+    return min((e + k - i for i, e in enumerate(delta.entries) if e > i), default=inf)
 
 
 class BundleExpr(Value):

@@ -32,8 +32,9 @@ MAX_POWER_ADDITIONS = 1_000_000
 #: past rank 12 the Littlewood-Richardson search also grows with the rank.
 MAX_TENSOR_DIM = 50_000
 #: Largest --d of `bwb`, `check-*`, `enumerate` and `kummer`, and largest
-#: `schur --rank`.  Their work grows as d^2: about 1 s at 400, plus
-#: 0.01-0.05 s per Weyl dimension a check reports at that size.
+#: `schur --rank`, checked in `main` before dispatch.  Their work grows as
+#: d^2: about 1 s at 400, plus 0.01-0.05 s per Weyl dimension a check
+#: reports at that size.
 MAX_LABEL_D = 400
 
 
@@ -63,7 +64,6 @@ def _weight_arg(text: str) -> Weight:
 
 
 def cmd_schur(args: argparse.Namespace) -> int:
-    _check_label_d(args.rank, "--rank")
     if args.operation != "dim" and len(args.weights) != (2 if args.operation == "tensor" else 1):
         count = "two weights" if args.operation == "tensor" else "one weight"
         raise ValueError(f"schur {args.operation} needs exactly {count}")
@@ -96,7 +96,6 @@ def cmd_schur(args: argparse.Namespace) -> int:
 
 def cmd_bwb(args: argparse.Namespace) -> int:
     d, k = args.d, args.k
-    _check_label_d(d)
     # a plain tuple, so that bwb_single checks 1 <= k <= d-1 before it builds a Weight
     gamma = args.k_weight if args.k_weight is not None else (0,) * (d - k)
     outcome = bwb_single(d, k, gamma, args.q_weight)
@@ -116,7 +115,10 @@ def cmd_wedge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_exit(args: argparse.Namespace, report: soc.VerificationReport) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    labels = (args.alpha, args.beta) if "beta" in args else (args.alpha,)
+    # looked up when the command runs, so a patched soc check is the one called
+    report = getattr(soc, args.check)(*labels, args.d)
     # each surviving summand's JSON carries its Weyl dimension, so the
     # payload is built only when it is printed
     if args.format == "json":
@@ -130,28 +132,7 @@ def _report_exit(args: argparse.Namespace, report: soc.VerificationReport) -> in
     return 0 if report.verdict else 1
 
 
-def cmd_check_exc(args: argparse.Namespace) -> int:
-    _check_label_d(args.d)
-    return _report_exit(args, soc.check_exceptional(args.alpha, args.d))
-
-
-def cmd_check_ff(args: argparse.Namespace) -> int:
-    _check_label_d(args.d)
-    return _report_exit(args, soc.check_fully_faithful(args.alpha, args.d))
-
-
-def cmd_check_so(args: argparse.Namespace) -> int:
-    _check_label_d(args.d)
-    return _report_exit(args, soc.check_semiorthogonal(args.alpha, args.beta, args.d))
-
-
-def _check_label_d(value: int, flag: str = "--d") -> None:
-    if value > MAX_LABEL_D:
-        raise ValueError(f"{flag} {value} is above {MAX_LABEL_D}, the largest this command accepts")
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_label_d(args.d)
     labels = soc.enumerate_sos(args.d) if args.sos else soc.enumerate_ff(args.d)
     text = "\n".join(str(a) for a in labels) + f"\n{len(labels)} labels"
     _emit(args, text, {"d": args.d, "sos": args.sos, "labels": [list(a.entries) for a in labels]})
@@ -159,7 +140,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_kummer(args: argparse.Namespace) -> int:
-    _check_label_d(args.d)
     count = soc.kummer_count(args.d)
     _emit(args, str(count), {"d": args.d, "count": str(count)})
     return 0
@@ -212,21 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--middle", action="store_true", help="wedge^2 of the middle SES term")
     p.set_defaults(func=cmd_wedge)
 
-    p = sub.add_parser("check-exc", help="exceptionality of one kernel bundle")
-    p.add_argument("--d", type=int, required=True, help=d_help)
-    p.add_argument("--alpha", type=_weight_arg, required=True)
-    p.set_defaults(func=cmd_check_exc)
-
-    p = sub.add_parser("check-ff", help="fibrewise fully-faithfulness conditions")
-    p.add_argument("--d", type=int, required=True, help=d_help)
-    p.add_argument("--alpha", type=_weight_arg, required=True)
-    p.set_defaults(func=cmd_check_ff)
-
-    p = sub.add_parser("check-so", help="fibrewise semi-orthogonality conditions")
-    p.add_argument("--d", type=int, required=True, help=d_help)
-    p.add_argument("--alpha", type=_weight_arg, required=True)
-    p.add_argument("--beta", type=_weight_arg, required=True)
-    p.set_defaults(func=cmd_check_so)
+    for command, check, help_text in (
+        ("check-exc", "check_exceptional", "exceptionality of one kernel bundle"),
+        ("check-ff", "check_fully_faithful", "fibrewise fully-faithfulness conditions"),
+        ("check-so", "check_semiorthogonal", "fibrewise semi-orthogonality conditions"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--d", type=int, required=True, help=d_help)
+        p.add_argument("--alpha", type=_weight_arg, required=True)
+        if command == "check-so":
+            p.add_argument("--beta", type=_weight_arg, required=True)
+        p.set_defaults(func=cmd_check, check=check)
 
     p = sub.add_parser("enumerate", help="list the admissible kernel labels")
     p.add_argument("--d", type=int, required=True, help=d_help)
@@ -248,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("d", "rank"):
+            value = vars(args).get(flag, 0)
+            if value > MAX_LABEL_D:
+                raise ValueError(f"--{flag} {value} is above {MAX_LABEL_D}, the largest this command accepts")
         return args.func(args)
     except ValueError as exc:  # DecompositionError included
         print(f"error: {exc}", file=sys.stderr)

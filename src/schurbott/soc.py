@@ -9,10 +9,11 @@ wedge^q N' (x) Ext, the fibre terms, do not depend on d; only the
 Borel-Weil-Bott verdict on each does, so a check builds the terms once
 (``fibre_terms``) and a report traces them on one G(2,d).  The checkers
 record a full witness trace: one (q, summand weight, outcome) triple per
-bundle summand that had to vanish (or survive).  The trace is the only
-result: each verdict and Hom dimension is read from its records.  The
-verdict rule is stated here once (``_report``, the one maker of a
-``VerificationReport``), and ``threshold`` applies it to every d at once.
+unit of multiplicity of each bundle summand that had to vanish (or
+survive).  The trace is the only result: each verdict and Hom dimension is
+read from its records.  The verdict rule is stated here once (``_report``,
+the one maker of a ``VerificationReport``), and ``threshold`` applies it to
+every d at once.
 """
 
 from __future__ import annotations
@@ -105,11 +106,11 @@ def ext_decomposition(alpha, beta) -> RepElement:
 
 
 def fibre_terms(ext: RepElement, top_q: int) -> list[tuple[int, Weight, int]]:
-    """(q, summand, multiplicity) of wedge^q N' (x) ext, q = 0..top_q, each q in the Schur order."""
+    """(q, summand, multiplicity) of wedge^q N' (x) ext, q = 0..top_q, in no fixed order within a q."""
     return [
         (q, w, c)
         for q in range(top_q + 1)
-        for w, c in (ext if q == 0 else tensor(wedge_nprime(q), ext)).sorted_terms()
+        for w, c in (ext if q == 0 else tensor(wedge_nprime(q), ext)).terms.items()
     ]
 
 
@@ -122,14 +123,15 @@ def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord
     """Witness trace of ``fibre_terms`` on G(2,d).
 
     One Borel-Weil-Bott evaluation per summand, recorded once per unit of
-    its multiplicity, in the order of the terms.  The identity summand is
-    the one summand not required to vanish.  Verdicts are read from this
-    trace: every multiplicity is positive, so a cohomology degree vanishes
-    exactly when none of its records survives.
+    its multiplicity, by q and then in the Schur order (``sorted_terms``'s
+    order within each q).  The identity summand is the one summand not
+    required to vanish.  Verdicts are read from this trace: every
+    multiplicity is positive, so a cohomology degree vanishes exactly when
+    none of its records survives.
     """
     g0 = trivial(d - 2)
     conditions: list[ConditionRecord] = []
-    for q, w, c in terms:
+    for q, w, c in sorted(terms, key=lambda t: (t[0], [-e for e in t[1].entries])):
         outcome = bwb_single(d, 2, g0, w)
         required_zero = not _is_identity(q, w)
         for _ in range(c):
@@ -158,7 +160,7 @@ def threshold(terms: list[tuple[int, Weight, int]], hom: int) -> float:
             identities += c
         else:
             ts.append(vanishing_threshold(2, w))
-    return inf if identities != hom or None in ts else max(ts, default=0)
+    return inf if identities != hom else max(ts, default=0)
 
 
 def check_exceptional(alpha, d: int) -> VerificationReport:

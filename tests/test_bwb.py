@@ -166,7 +166,7 @@ class TestVanishingThreshold:
         t = vanishing_threshold(k, Weight(delta))
         for d in dims:
             zero = dotted_action(d, k, (0,) * (d - k), delta)[0] == "zero"
-            assert zero == (t is not None and d >= t), (d, k, delta, t)
+            assert zero == (d >= t), (d, k, delta, t)
         return t
 
     def test_rank_two_grid(self):
@@ -174,7 +174,7 @@ class TestVanishingThreshold:
             self._matches_the_dotted_action(2, (x, y), range(3, 26)) for x in range(-8, 25) for y in range(-8, x + 1)
         }
         # every threshold from G(2,3) to G(2,26), and bundles that never vanish
-        assert thresholds == {None, *range(3, 27)}
+        assert thresholds == {float("inf"), *range(3, 27)}
 
     def test_every_rank_at_small_d(self):
         for k in range(1, 6):

@@ -225,6 +225,19 @@ class TestChecks:
         code, _, err = run(capsys, "check-exc", "--d", d, "--alpha", "0,0")
         assert code == 2 and "exceptional check requires d >= 3" in err
 
+    @pytest.mark.parametrize("command", ["check-exc", "check-ff"])
+    def test_beta_is_an_option_of_check_so_alone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--d", "6", "--alpha", "4,3", "--beta", "3,3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta 3,3" in capsys.readouterr().err
+
+    def test_check_so_requires_beta(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-so", "--d", "6", "--alpha", "4,3"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --beta" in capsys.readouterr().err
+
     REPORTS = [
         (["check-exc", "--d", "5", "--alpha", "2,1"], lambda: soc.check_exceptional((2, 1), 5)),
         (["check-ff", "--d", "5", "--alpha", "1,0"], lambda: soc.check_fully_faithful((1, 0), 5)),

@@ -115,6 +115,15 @@ class TestFullyFaithful:
         assert report.conditions[0].q == 0
         assert sorted({c.q for c in report.conditions}) == [0, 1, 2, 3, 4]
 
+    def test_records_run_by_q_then_in_the_schur_order(self):
+        # one record per unit of multiplicity, whatever order the terms come in
+        report = check_fully_faithful(weight(2, 1), 9)
+        keys = [(c.q, c.weight) for c in report.conditions]
+        assert (len(keys), len(set(keys))) == (18, 14)
+        assert keys == sorted(keys, key=lambda k: (k[0], [-e for e in k[1]]))
+        terms = soc.fibre_terms(ext_decomposition(weight(2, 1), weight(2, 1)), 4)
+        assert soc._trace(9, terms[::-1]) == report.conditions
+
 
 class TestSemiorthogonal:
     def test_sequence_pairs_pass(self):

@@ -121,7 +121,7 @@ def _never_vanishing(monkeypatch, weight=None):
     threshold = soc.vanishing_threshold
 
     def patched(k, delta):
-        return None if weight is None or delta.entries == weight else threshold(k, delta)
+        return float("inf") if weight is None or delta.entries == weight else threshold(k, delta)
 
     monkeypatch.setattr(soc, "vanishing_threshold", patched)
 
