@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+def _emit(args: argparse.Namespace, text: str, payload: dict | list) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -150,12 +150,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     for name, cap in verify.D_CAPS.items():
         if cap < args.d_max:
             print(f"note: {name} checked d <= {cap}, not {args.d_max}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in results]))
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
+    width = max(len(r.name) for r in results)
+    text = "\n".join(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}" for r in results)
+    _emit(args, text, [r.to_json() for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

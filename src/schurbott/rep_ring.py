@@ -325,7 +325,7 @@ def _clebsch_gordan(a: RepElement, b: RepElement) -> RepElement:
             for g in range(min(a1 - a2, b1 - b2) + 1):
                 e = (a1 + b1 - g, a2 + b2 + g)
                 out[e] = out.get(e, 0) + c
-    return RepElement(2, {Weight(e): c for e, c in out.items() if c})
+    return RepElement(2, {Weight(e): c for e, c in out.items()})
 
 
 def _partition_shift(w: Weight) -> tuple[tuple[int, ...], int]:

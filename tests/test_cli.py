@@ -479,6 +479,25 @@ class TestVerifyPaper:
         assert all(r["verdict"] == "pass" for r in data)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-paper", "--d-max", "5"),
+        ("schur", "tensor", "--rank", "3", "2,1,0", "2,0,0"),
+        ("bwb", "--d", "5", "--k", "2", "--q-weight", "2,-1"),
+        ("wedge", "--q", "3"),
+        ("check-ff", "--d", "5", "--alpha", "1,0"),
+        ("enumerate", "--d", "6"),
+        ("kummer", "--d", "6"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_json_output_has_one_encoding(capsys, argv):
+    # every command prints its JSON through one encoder, with sorted keys
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_malformed_weight_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["schur", "dual", "--rank", "2", "2;0"])

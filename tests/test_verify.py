@@ -346,7 +346,8 @@ def test_label_first_self_exts_match_the_single_d_reports():
 def test_thresholds_meet_the_papers_bounds_at_every_d():
     # on the box at D = 16: a label is fully faithful fibrewise exactly from
     # d = width + 5, so the paper's width(a) <= d-5 is sharp, and a pair is
-    # semi-orthogonal from a_1 - b_2 + 5 at the latest
+    # semi-orthogonal from a_1 - b_2 + 5 at the latest, exactly then when
+    # a_2 - b_1 <= 2
     labels = soc.box_partitions(16)
     assert len(labels) == 120
     for a in labels:
@@ -356,6 +357,7 @@ def test_thresholds_meet_the_papers_bounds_at_every_d():
         for b in labels[i + 1 :]:
             t, bound = _pair_threshold(a, b), a.entries[0] - b.entries[1] + 5
             assert t <= bound, (a, b)
+            assert (t == bound) == (a.entries[1] - b.entries[0] <= 2), (a, b)
             pairs += 1
             sharp += t == bound
     assert (pairs, sharp) == (7140, 5775)
