@@ -23,6 +23,8 @@ Q_DUAL = RepElement.schur(FIBRE_RANK, (1, 0))
 Q = RepElement.schur(FIBRE_RANK, (0, -1))
 #: the restricted normal bundle N'
 NPRIME = RepElement.schur(FIBRE_RANK, (2, -1))
+#: rank of N': the kernel checks trace wedge^q N' for q = 0..NPRIME_RANK
+NPRIME_RANK = NPRIME.dimension()
 #: sub term of the defining short exact sequence
 SES_SUB = Q_DUAL
 #: middle term Q (x) Sym^2 Q^v of the defining short exact sequence
@@ -37,8 +39,8 @@ def wedge_nprime(q: int) -> RepElement:
     against the filtration identity of the defining sequence,
     wedge^q(middle) = sum_i wedge^i(sub) (x) wedge^{q-i}(N').
     """
-    if not 0 <= q <= 4:
-        raise ValueError(f"N' has rank 4; wedge power {q} out of range")
+    if not 0 <= q <= NPRIME_RANK:
+        raise ValueError(f"N' has rank {NPRIME_RANK}; wedge power {q} out of range")
     return ext_power(NPRIME, q)
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
-from .partitions import Frozen, Weight, _stripped, trivial
+from .partitions import Frozen, Value, Weight, _stripped, trivial
 
 
 class DecompositionError(ValueError):
@@ -183,7 +183,7 @@ def lr_coefficients(alpha: tuple[int, ...], beta: tuple[int, ...], max_rows: int
 # Ring elements
 # ---------------------------------------------------------------------------
 
-class RepElement:
+class RepElement(Value):
     """Finite integer combination of Weights of a common rank.
 
     Negative coefficients are allowed (virtual K-theory elements); zero
@@ -251,13 +251,6 @@ class RepElement:
 
     def scaled(self, n: int) -> "RepElement":
         return RepElement(self.rank, {w: n * c for w, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RepElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
 
     def _check(self, other: "RepElement") -> None:
         if self.rank != other.rank:

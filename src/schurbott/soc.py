@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .bundle_calculus import wedge_nprime
+from .bundle_calculus import NPRIME_RANK, wedge_nprime
 from .bwb import BWBOutcome, bwb_single, vanishing_threshold
 from .partitions import Value, Weight, sort_key, precedes, trivial
 from .rep_ring import RepElement, dual, tensor
@@ -142,10 +142,10 @@ def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord
 def _report(d: int, a: Weight, b: Weight | None, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
     """Pass iff Hom is 1 for a self-Ext (b is None), 0 for a pair (Schur's lemma), and no required record survives."""
     conditions = _trace(d, terms)
-    survivors = [c for c in conditions if not c.outcome.is_zero]  # a zero record adds nothing to Hom
-    hom = sum(c.outcome.dimension() for c in survivors if c.q == 0 and c.outcome.degree == 0)
-    ok = hom == (b is None) and not any(c.required_zero for c in survivors)
-    return VerificationReport(ok, d, a, b, conditions, hom, kind)
+    hom = sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
+    report = VerificationReport(False, d, a, b, conditions, hom, kind)
+    report.verdict = hom == (b is None) and not report.failures()
+    return report
 
 
 def threshold(terms: list[tuple[int, Weight, int]], hom: int) -> float:
@@ -185,7 +185,7 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
     a = _box_label(alpha, d)
-    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), 4), "fully_faithful")
+    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), NPRIME_RANK), "fully_faithful")
 
 
 def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
@@ -201,7 +201,7 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    return _report(d, a, b, fibre_terms(ext_decomposition(a, b), 4), "semiorthogonal")
+    return _report(d, a, b, fibre_terms(ext_decomposition(a, b), NPRIME_RANK), "semiorthogonal")
 
 
 def box_partitions(d: int) -> list[Weight]:

@@ -85,7 +85,7 @@ def _threshold(seen: dict, ext: rr.RepElement, top_q: int, hom: int) -> float:
 def check_fully_faithful(d_max: int) -> CheckResult:
     total, seen = 0, {}
     top = _top("fully-faithful", 5, d_max)
-    thresholds = {a: _threshold(seen, soc.ext_decomposition(a, a), 4, 1) for a in soc.enumerate_ff(top)}
+    thresholds = {a: _threshold(seen, soc.ext_decomposition(a, a), bc.NPRIME_RANK, 1) for a in soc.enumerate_ff(top)}
     for d in range(5, top + 1):
         for a in soc.enumerate_ff(d):
             if d < thresholds[a]:
@@ -121,7 +121,7 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
                 f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
             )
         if a != b and a.entries[0] - b.entries[1] <= top - 5:  # a label with itself is compared only
-            thresholds[a, b] = _threshold(seen, closed, 4, 0)
+            thresholds[a, b] = _threshold(seen, closed, bc.NPRIME_RANK, 0)
     for d in range(5, top + 1):
         swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
         for a, b in swept:
@@ -258,7 +258,6 @@ def check_oracle_equivalence(d_max: int) -> CheckResult:
                 expected[0] = comb(d - 1 - m, d - 1)
             elif m >= d:
                 expected[n] = comb(m - 1, d - 1)
-            expected = {p: v for p, v in expected.items() if v}
             if dims != expected:
                 return CheckResult(
                     "oracle-equivalence", False, f"Bott mismatch on P^{n}, twist {m}: {dims} vs {expected}"

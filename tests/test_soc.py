@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from schurbott import soc
-from schurbott.bundle_calculus import wedge_nprime
+from schurbott.bundle_calculus import NPRIME, NPRIME_RANK, wedge_nprime
 from schurbott.bwb import BundleExpr, cohomology
 from schurbott.partitions import precedes, sort_key
 from schurbott.rep_ring import RepElement, dual, tensor
@@ -155,6 +155,15 @@ class TestSemiorthogonal:
         assert (report.verdict, report.hom_dimension) == (False, 1)
         survivors = [(c.q, c.weight) for c in report.conditions if not c.outcome.is_zero]
         assert survivors == [(0, (0, 0))]
+
+
+class TestQRangeFollowsNPrime:
+    def test_the_rank_of_nprime_bounds_the_wedges_and_the_traces(self):
+        assert NPRIME_RANK == NPRIME.dimension() == 4
+        with pytest.raises(ValueError, match=f"N' has rank {NPRIME_RANK};"):
+            wedge_nprime(NPRIME_RANK + 1)
+        for report in (check_fully_faithful(weight(3, 3), 6), check_semiorthogonal(weight(4, 3), weight(3, 3), 6)):
+            assert max(c.q for c in report.conditions) == NPRIME_RANK
 
 
 class TestThreshold:
