@@ -60,7 +60,8 @@ class Weight(Frozen):
     length of ``entries``.  Negative entries are allowed (rational
     representations of GL_r / K-theory classes), so there is no canonical
     sparse form.  Non-integral entries (floats, strings) raise TypeError.
-    The constructor is the one place a weight is validated.
+    The constructor is the one place a weight is validated.  Equality and
+    hashing read ``entries`` directly: a weight is the commonest dict key.
     """
 
     __slots__ = ("entries",)
@@ -73,6 +74,14 @@ class Weight(Frozen):
         if not all(map(operator.ge, entries, entries[1:])):
             raise ValueError(f"weight entries must be non-increasing: {entries}")
         object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Weight:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @property
     def rank(self) -> int:

@@ -197,18 +197,20 @@ class RepElement(Value):
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            if w.rank != rank:
+        self.terms = dict(terms or ())  # a dict copy keeps each key's stored hash
+        for w in self.terms:
+            if len(w.entries) != rank:
                 raise ValueError(f"weight {w} has rank {w.rank}, element has rank {rank}")
-            if c != 0:
-                self.terms[w] = c
+        if 0 in self.terms.values():
+            self.terms = {w: c for w, c in self.terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def schur(cls, rank: int, entries) -> "RepElement":
         """S^w over GL_rank: zero rows past rank are dropped, more nonzero rows give 0."""
+        if isinstance(entries, Weight) and len(entries.entries) == rank:
+            return cls(rank, {entries: 1})
         if rank < 1:  # before w.entries[rank] reads a row from the end
             raise ValueError("rank must be positive")
         w = entries if isinstance(entries, Weight) else Weight(tuple(entries))
@@ -295,12 +297,12 @@ def tensor(a: RepElement, b: RepElement) -> RepElement:
     for wa, ca in a.terms.items():
         pa, ma = _partition_shift(wa)
         for (pb, mb), cb in b_shapes:
-            shift = ma + mb
+            shift, c = ma + mb, ca * cb
             # larger factor first, so both orders of a pair share one cache entry
             key = (pb, pa) if sum(pb) > sum(pa) else (pa, pb)
             for nu, mult in lr_coefficients(*key, rank):
-                w = Weight(tuple(e - shift for e in nu) + (-shift,) * (rank - len(nu)))
-                out[w] = out.get(w, 0) + ca * cb * mult
+                w = Weight([e - shift for e in nu] + [-shift] * (rank - len(nu)))
+                out[w] = out.get(w, 0) + c * mult
     return RepElement(rank, out)
 
 
@@ -397,8 +399,6 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
     exponents, so a forced chain of full columns ends at once.
     """
     rows = tuple(r for r in shape if r > 0)
-    if len(rows) > rank:
-        return ()
     counts: dict[tuple[int, ...], int] = {}
     exps = [0] * rank  # x_{l+1}..x_rank, set in place on the way down
 

@@ -23,7 +23,7 @@ from math import inf
 from .bundle_calculus import NPRIME_RANK, wedge_nprime
 from .bwb import BWBOutcome, bwb_single, vanishing_threshold
 from .partitions import Value, Weight, sort_key, precedes, trivial
-from .rep_ring import RepElement, dual, tensor
+from .rep_ring import RepElement, tensor
 
 
 class ConditionRecord(Value):
@@ -94,7 +94,7 @@ def _box_label(alpha, d: int) -> Weight:
 def ext_decomposition(alpha, beta) -> RepElement:
     """Schur expansion of S^alpha Q^v (x) (S^beta Q^v)^v on the rank-2 fibre.
 
-    This is ``tensor(S^alpha, dual(S^beta))``, the Clebsch-Gordan sum over
+    This is ``tensor(S^alpha, S^(beta.dual()))``, the Clebsch-Gordan sum over
     g = 0..min(width(alpha), width(beta)) of
     S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).
     ``verify.check_semiorthogonal`` (semi-orthogonality) cross-checks it
@@ -102,7 +102,7 @@ def ext_decomposition(alpha, beta) -> RepElement:
     """
     a = _as_label_weight(alpha)
     b = _as_label_weight(beta)
-    return tensor(RepElement.schur(2, a), dual(RepElement.schur(2, b)))
+    return tensor(RepElement.schur(2, a), RepElement.schur(2, b.dual()))
 
 
 def fibre_terms(ext: RepElement, top_q: int) -> list[tuple[int, Weight, int]]:

@@ -219,6 +219,17 @@ class TestBundleExpr:
         with pytest.raises(ValueError):
             BundleExpr(5, 2, {(Weight((1, 0)), Weight((1, 0))): 1})
 
+    def test_from_qdual_rejects_an_element_of_another_rank(self):
+        with pytest.raises(ValueError, match="^element rank must equal the quotient rank k$"):
+            BundleExpr.from_qdual(5, 2, RepElement.schur(3, (1, 0, 0)))
+
+    def test_tensor_rejects_another_grassmannian(self):
+        a = BundleExpr.from_qdual(5, 2, RepElement.schur(2, (1, 0)))
+        for other in (BundleExpr.from_qdual(6, 2, RepElement.schur(2, (1, 0))),
+                      BundleExpr.from_qdual(5, 3, RepElement.schur(3, (1, 0, 0)))):
+            with pytest.raises(ValueError, match="^bundles live on different Grassmannians$"):
+                a.tensor(other)
+
     def test_rejects_bad_k(self):
         for k in (0, 5):
             with pytest.raises(ValueError, match="need 1 <= k <= d-1"):

@@ -45,6 +45,13 @@ class TestWeight:
         w = weight(3, -1)
         assert w.rank == 2 and w.size == 2 and not w.is_partition()
 
+    def test_padded_rejects_a_smaller_rank_and_negative_entries(self):
+        assert weight(2, 1).padded(4) == weight(2, 1, 0, 0)
+        with pytest.raises(ValueError, match="^cannot pad to a smaller rank$"):
+            weight(2, 1, 0).padded(2)
+        with pytest.raises(ValueError, match="^cannot pad a weight with negative entries$"):
+            weight(2, -1).padded(3)
+
     def test_parse(self):
         assert parse_weight("3,-1") == weight(3, -1)
         with pytest.raises(ValueError):

@@ -221,6 +221,12 @@ class TestLR:
         with pytest.raises(ValueError):
             S(2, 1, 0, -1)
 
+    def test_constructor_rejects_a_weight_of_another_rank(self):
+        with pytest.raises(ValueError, match=r"^weight \(1,0,0\) has rank 3, element has rank 2$"):
+            RepElement(2, {Weight((1, 0)): 1, Weight((1, 0, 0)): 1})
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            RepElement(0)
+
     @pytest.mark.parametrize("rank", [-2, -1, 0])
     def test_schur_rejects_a_non_positive_rank(self, rank):
         # a negative rank must not index the weight's rows from the end
@@ -308,6 +314,12 @@ class TestDual:
 
 
 class TestCharacterOracle:
+    def test_charpoly_guards(self):
+        with pytest.raises(ValueError, match="^rank mismatch$"):
+            char_of(S(2, 1, 0)) * char_of(S(3, 1, 0, 0))
+        with pytest.raises(ValueError, match="^negative coefficient; not a genuine character$"):
+            char_of(S(2, 1, 0) - S(2, 0, 0)).monomials()
+
     def test_oracle_agrees_with_lr(self):
         for a, b in itertools.product(partitions_of(4, 3), partitions_of(3, 3)):
             x = RepElement.schur(3, a + (0,) * (3 - len(a)))
@@ -471,6 +483,11 @@ class TestPlethysm:
     def test_rejects_virtual_input(self):
         with pytest.raises(ValueError):
             ext_power(S(2, 1, 0) - S(2, 0, 0), 2)
+
+    @pytest.mark.parametrize("power", [ext_power, sym_power])
+    def test_rejects_a_negative_power(self, power):
+        with pytest.raises(ValueError, match="^negative power -1$"):
+            power(S(2, 1, 0), -1)
 
 
 class TestSerialization:

@@ -142,6 +142,11 @@ class TestSemiorthogonal:
         with pytest.raises(ValueError):
             check_semiorthogonal(weight(3, 3), weight(3, 3), 5)
 
+    @pytest.mark.parametrize("d", [4, 3])
+    def test_requires_d_at_least_five(self, d):
+        with pytest.raises(ValueError, match="^semi-orthogonality check requires d >= 5$"):
+            check_semiorthogonal(weight(1, 1), weight(1, 0), d)
+
     def test_json_includes_beta(self):
         report = check_semiorthogonal(weight(4, 4), weight(3, 3), 6)
         assert report.to_json()["beta"] == [3, 3]

@@ -148,6 +148,26 @@ def _with_an_extra_sequence_label(monkeypatch, d, label=(0, 0)):
     monkeypatch.setattr(soc, "enumerate_sos", lambda e: enumerate_sos(e) + ([Weight(label)] if e == d else []))
 
 
+def test_counting_fails_on_one_extra_sequence_label(monkeypatch):
+    # the ff count still matches, so only the sequence count can fail
+    assert verify.check_counting(12).passed
+    _with_an_extra_sequence_label(monkeypatch, 7)
+    assert verify.check_counting(12) == verify.CheckResult("counting", False, "d=7: sos count 7")
+
+
+def test_oracle_equivalence_fails_on_a_wrong_bott_outcome(monkeypatch):
+    # Bott's formula gives twist -1 on P^2 an H^0 of dimension 3, so a zero
+    # outcome there must fail
+    single = verify.bwb_single
+
+    def vanishing(d, k, gamma, delta):
+        return BWBOutcome(repeated_value=0) if (d, delta) == (3, (-1,)) else single(d, k, gamma, delta)
+
+    monkeypatch.setattr(verify, "bwb_single", vanishing)
+    result = verify.check_oracle_equivalence(12)
+    assert (result.passed, result.detail) == (False, "Bott mismatch on P^2, twist -1: {} vs {0: 3}")
+
+
 @pytest.mark.parametrize("d", [7, 9])
 def test_semiorthogonality_reports_uncovered_sequence_pairs(monkeypatch, d):
     # (a, (0,0)) is bounded from d = a_1 + 5: after 7 for every sequence label
