@@ -127,7 +127,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         verdict = "pass" if report.verdict else "fail"
         print(f"{report.kind}: {verdict} (Hom dimension {report.hom_dimension})")
         for c in report.failures():
-            print(f"  q={c.q} summand {Weight(c.weight)}: {c.outcome}")
+            print(f"  q={c.q} summand {c.weight}: {c.outcome}")
     return 0 if report.verdict else 1
 
 

@@ -107,14 +107,14 @@ def _lattice_strips(
     # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
     upper = [width - base[0]] + [base[j - 1] - base[j] for j in rows[1:]]
     # cover[k]: the previous letter's boxes in the rows above rows[k], which
-    # the new ones up to rows[k] may not outnumber; letter 1 has no such bound
+    # the new ones up to rows[k] may not outnumber; letter 1 has no such bound.
+    # cover[-1] >= m: of the equal rows from rows[-1] on, the previous strip
+    # holds boxes only in the last, and its ``left`` bound kept m above it
     if above is None:
         cover = [m] * len(rows)
     else:
         before = list(itertools.accumulate(above, initial=0))
         cover = [before[j] for j in rows]
-        if cover[-1] < m:  # too few above the last open row: no placement completes
-            return []
     # left[k]: the most boxes the open rows after rows[k] may take, within
     # their strip room and leaving the later letters room below this one
     left = [0] * len(rows)

@@ -4,11 +4,11 @@ and the Kummer count.
 
 Every check here is about the kernels S^alpha Q^v on the fibre Grassmannian
 G(2,d), reduced to sheaf cohomology of twisted Schur bundles, computed term
-by term through the Borel-Weil-Bott module.  The summands of
-wedge^q N' (x) Ext, the fibre terms, do not depend on d; only the
-Borel-Weil-Bott verdict on each does, so a check builds the terms once
-(``fibre_terms``) and a report traces them on one G(2,d).  The checkers
-record a full witness trace: one (q, summand weight, outcome) triple per
+by term through the Borel-Weil-Bott module.  The fibre terms, the
+``RepElement`` wedge^q N' (x) Ext for each q, do not depend on d; only the
+Borel-Weil-Bott verdict on each summand does, so a check builds the terms
+once (``fibre_terms``) and a report traces them on one G(2,d).  The checkers
+record a full witness trace: one (q, summand ``Weight``, outcome) record per
 unit of multiplicity of each bundle summand that had to vanish (or
 survive).  The trace is the only result: each verdict and Hom dimension is
 read from its records.  The verdict rule is stated here once (``_report``,
@@ -29,7 +29,7 @@ from .rep_ring import RepElement, tensor
 class ConditionRecord(Value):
     __slots__ = ("q", "weight", "outcome", "required_zero")
 
-    def __init__(self, q: int, weight: tuple[int, ...], outcome: BWBOutcome, required_zero: bool = True):
+    def __init__(self, q: int, weight: Weight, outcome: BWBOutcome, required_zero: bool = True):
         self.q = q
         self.weight = weight
         self.outcome = outcome
@@ -38,7 +38,7 @@ class ConditionRecord(Value):
     def to_json(self) -> dict:
         return {
             "q": self.q,
-            "weight": list(self.weight),
+            "weight": list(self.weight.entries),
             "required_zero": self.required_zero,
             "outcome": self.outcome.to_json(),
         }
@@ -105,13 +105,9 @@ def ext_decomposition(alpha, beta) -> RepElement:
     return tensor(RepElement.schur(2, a), RepElement.schur(2, b.dual()))
 
 
-def fibre_terms(ext: RepElement, top_q: int) -> list[tuple[int, Weight, int]]:
-    """(q, summand, multiplicity) of wedge^q N' (x) ext, q = 0..top_q, in no fixed order within a q."""
-    return [
-        (q, w, c)
-        for q in range(top_q + 1)
-        for w, c in (ext if q == 0 else tensor(wedge_nprime(q), ext)).terms.items()
-    ]
+def fibre_terms(ext: RepElement, top_q: int) -> list[RepElement]:
+    """wedge^q N' (x) ext for q = 0..top_q, indexed by q."""
+    return [ext] + [tensor(wedge_nprime(q), ext) for q in range(1, top_q + 1)]
 
 
 def _is_identity(q: int, w: Weight) -> bool:
@@ -119,27 +115,27 @@ def _is_identity(q: int, w: Weight) -> bool:
     return q == 0 and w.is_zero()
 
 
-def _trace(d: int, terms: list[tuple[int, Weight, int]]) -> list[ConditionRecord]:
+def _trace(d: int, terms: list[RepElement]) -> list[ConditionRecord]:
     """Witness trace of ``fibre_terms`` on G(2,d).
 
     One Borel-Weil-Bott evaluation per summand, recorded once per unit of
-    its multiplicity, by q and then in the Schur order (``sorted_terms``'s
-    order within each q).  The identity summand is the one summand not
-    required to vanish.  Verdicts are read from this trace: every
-    multiplicity is positive, so a cohomology degree vanishes exactly when
-    none of its records survives.
+    its multiplicity, by q and then in the Schur order of ``sorted_terms``.
+    The identity summand is the one summand not required to vanish.
+    Verdicts are read from this trace: every multiplicity is positive, so a
+    cohomology degree vanishes exactly when none of its records survives.
     """
     g0 = trivial(d - 2)
     conditions: list[ConditionRecord] = []
-    for q, w, c in sorted(terms, key=lambda t: (t[0], [-e for e in t[1].entries])):
-        outcome = bwb_single(d, 2, g0, w)
-        required_zero = not _is_identity(q, w)
-        for _ in range(c):
-            conditions.append(ConditionRecord(q, w.entries, outcome, required_zero))
+    for q, element in enumerate(terms):
+        for w, c in element.sorted_terms():
+            outcome = bwb_single(d, 2, g0, w)
+            required_zero = not _is_identity(q, w)
+            for _ in range(c):
+                conditions.append(ConditionRecord(q, w, outcome, required_zero))
     return conditions
 
 
-def _report(d: int, a: Weight, b: Weight | None, terms: list[tuple[int, Weight, int]], kind: str) -> VerificationReport:
+def _report(d: int, a: Weight, b: Weight | None, terms: list[RepElement], kind: str) -> VerificationReport:
     """Pass iff Hom is 1 for a self-Ext (b is None), 0 for a pair (Schur's lemma), and no required record survives."""
     conditions = _trace(d, terms)
     hom = sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
@@ -148,18 +144,19 @@ def _report(d: int, a: Weight, b: Weight | None, terms: list[tuple[int, Weight, 
     return report
 
 
-def threshold(terms: list[tuple[int, Weight, int]], hom: int) -> float:
+def threshold(terms: list[RepElement], hom: int) -> float:
     """The least d from which ``fibre_terms`` pass on G(2,d), or inf if they never do.
 
     A report's rule for every d at once: the identity summand occurs exactly
     ``hom`` times, and every other one vanishes from its ``vanishing_threshold`` on.
     """
     identities, ts = 0, []
-    for q, w, c in terms:
-        if _is_identity(q, w):
-            identities += c
-        else:
-            ts.append(vanishing_threshold(2, w))
+    for q, element in enumerate(terms):
+        for w, c in element.terms.items():
+            if _is_identity(q, w):
+                identities += c
+            else:
+                ts.append(vanishing_threshold(2, w))
     return inf if identities != hom else max(ts, default=0)
 
 

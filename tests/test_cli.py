@@ -254,7 +254,7 @@ class TestChecks:
         report = compute()
         expected = [f"{report.kind}: {'pass' if report.verdict else 'fail'} (Hom dimension {report.hom_dimension})"]
         expected += [
-            f"  q={c.q} summand ({','.join(map(str, c.weight))}): {c.outcome}" for c in report.failures()
+            f"  q={c.q} summand ({','.join(map(str, c.weight.entries))}): {c.outcome}" for c in report.failures()
         ]
 
         def refuse(self):

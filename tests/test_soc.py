@@ -71,7 +71,7 @@ class TestExceptional:
         report = check_exceptional(weight(3, 0), 6)
         assert len(report.conditions) == 4  # width 3 gives 4 Ext summands
         survivors = [c for c in report.conditions if not c.required_zero]
-        assert len(survivors) == 1 and survivors[0].weight == (0, 0)
+        assert len(survivors) == 1 and survivors[0].weight == weight(0, 0)
 
     @pytest.mark.parametrize("d", [2, 1, -3])
     def test_requires_d_at_least_three(self, d):
@@ -102,7 +102,7 @@ class TestFullyFaithful:
         assert not report.verdict
         bad = report.failures()
         assert bad
-        assert {(c.q, c.weight) for c in bad} == {(2, (4, -2)), (3, (4, -1))}
+        assert {(c.q, c.weight) for c in bad} == {(2, weight(4, -2)), (3, weight(4, -1))}
 
     def test_requires_d_at_least_five(self):
         with pytest.raises(ValueError):
@@ -116,13 +116,19 @@ class TestFullyFaithful:
         assert sorted({c.q for c in report.conditions}) == [0, 1, 2, 3, 4]
 
     def test_records_run_by_q_then_in_the_schur_order(self):
-        # one record per unit of multiplicity, whatever order the terms come in
+        # one record per unit of multiplicity, by q, then in the Schur order
         report = check_fully_faithful(weight(2, 1), 9)
         keys = [(c.q, c.weight) for c in report.conditions]
         assert (len(keys), len(set(keys))) == (18, 14)
-        assert keys == sorted(keys, key=lambda k: (k[0], [-e for e in k[1]]))
+        assert keys == sorted(keys, key=lambda k: (k[0], [-e for e in k[1].entries]))
         terms = soc.fibre_terms(ext_decomposition(weight(2, 1), weight(2, 1)), 4)
-        assert soc._trace(9, terms[::-1]) == report.conditions
+        assert soc._trace(9, terms) == report.conditions
+        # whatever order the summands were inserted in: Clebsch-Gordan
+        # inserts (4,1) before (4,2) here
+        element = tensor(RepElement.schur(2, (5, 0)) + RepElement.schur(2, (3, 3)), RepElement.schur(2, (1, -1)))
+        assert list(element.terms) == [weight(6, -1), weight(5, 0), weight(4, 1), weight(4, 2)]
+        records = soc._trace(9, [element])
+        assert [c.weight for c in records] == [weight(6, -1), weight(5, 0), weight(4, 2), weight(4, 1)]
 
 
 class TestSemiorthogonal:
@@ -159,7 +165,7 @@ class TestSemiorthogonal:
         report = check_semiorthogonal(weight(4, 4), weight(3, 3), 6)
         assert (report.verdict, report.hom_dimension) == (False, 1)
         survivors = [(c.q, c.weight) for c in report.conditions if not c.outcome.is_zero]
-        assert survivors == [(0, (0, 0))]
+        assert survivors == [(0, weight(0, 0))]
 
 
 class TestQRangeFollowsNPrime:
@@ -181,6 +187,31 @@ class TestThreshold:
         ext = ext_decomposition(weight(4, 4), weight(3, 3))
         assert soc.threshold(soc.fibre_terms(ext, 4), 0) == 6
         assert soc.threshold(soc.fibre_terms(ext + RepElement.one(2), 4), 0) == float("inf")
+
+    def test_the_threshold_is_a_closed_form_in_the_twist_class(self):
+        # Ext(b, a) depends only on the widths wa, wb and the gap G = a2 - b1,
+        # so one pair per class stands for it; with m, n the smaller and
+        # larger width, a1 - b2 = wa + wb + G and e = 1 when n - m >= 3
+        inf = float("inf")
+        compared = 0
+        for wa, wb in itertools.product(range(12), repeat=2):
+            m, n = min(wa, wb), max(wa, wb)
+            e = int(n - m >= 3)
+            for G in range(-wa - wb - 3, 12):
+                s = max(0, -(G + wb))
+                a, b = weight(G + wb + s + wa, G + wb + s), weight(wb + s, s)
+                ext, span = ext_decomposition(a, b), wa + wb + G
+                full = inf if G <= -(n - e) else span + 5 if G <= 2 else G + m + 3 + e
+                hom = inf if G <= -n else span + 2 if G <= 1 else G + m + 1
+                assert soc.threshold(soc.fibre_terms(ext, 4), 0) == full, (a, b)
+                assert soc.threshold(soc.fibre_terms(ext, 0), 0) == hom, (a, b)
+                compared += 2
+        for width in range(36):
+            ext = ext_decomposition(weight(width, 0), weight(width, 0))
+            assert soc.threshold(soc.fibre_terms(ext, 4), 1) == width + 5
+            assert soc.threshold(soc.fibre_terms(ext, 0), 1) == (width + 2 if width else 0)
+            compared += 2
+        assert compared == 7560
 
 
 class TestSelfExtReportsDigest:

@@ -35,7 +35,8 @@ def same_twice():
         (BundleExpr(3, 1, {(Weight((0, 0)), Weight((1,))): 2}),
          BundleExpr(d=3, k=1, terms={(Weight((0, 0)), Weight((1,))): 2})),
         (GradedCohomology(3, {0: RepElement.one(3)}), GradedCohomology(d=3, groups={0: RepElement.one(3)})),
-        (ConditionRecord(1, (2, 0), OUTCOME), ConditionRecord(q=1, weight=(2, 0), outcome=BWBOutcome(repeated_value=3))),
+        (ConditionRecord(1, Weight((2, 0)), OUTCOME),
+         ConditionRecord(q=1, weight=Weight((2, 0)), outcome=BWBOutcome(repeated_value=3))),
         (VerificationReport(True, 5, W), VerificationReport(verdict=True, d=5, alpha=Weight((1, 0)))),
         (CheckResult("counting", True, "ok"), CheckResult(name="counting", passed=True, detail="ok")),
         (RepElement(2, {W: 2}), RepElement(rank=2, terms={Weight((1, 0)): 2, Weight((0, 0)): 0})),
@@ -70,7 +71,7 @@ class TestEquality:
             (BWBOutcome(repeated_value=3), BWBOutcome(repeated_value=4)),
             (BundleExpr(3, 1), BundleExpr(3, 2)),
             (GradedCohomology(3), GradedCohomology(4)),
-            (ConditionRecord(1, (2, 0), OUTCOME), ConditionRecord(1, (2, 0), OUTCOME, False)),
+            (ConditionRecord(1, Weight((2, 0)), OUTCOME), ConditionRecord(1, Weight((2, 0)), OUTCOME, False)),
             (VerificationReport(True, 5, W), VerificationReport(True, 5, W, kind="x")),
             (CheckResult("a", True, ""), CheckResult("a", False, "")),
             (RepElement(2, {W: 2}), RepElement(2, {W: 1})),
@@ -146,9 +147,9 @@ class TestConstruction:
         assert GradedCohomology(3, {1: RepElement.zero(3)}).groups == {}
 
     def test_condition_record_defaults(self):
-        record = ConditionRecord(2, (1, 0), OUTCOME)
-        assert (record.q, record.weight, record.outcome, record.required_zero) == (2, (1, 0), OUTCOME, True)
-        assert ConditionRecord(2, (1, 0), OUTCOME, required_zero=False).required_zero is False
+        record = ConditionRecord(2, W, OUTCOME)
+        assert (record.q, record.weight, record.outcome, record.required_zero) == (2, W, OUTCOME, True)
+        assert ConditionRecord(2, W, OUTCOME, required_zero=False).required_zero is False
 
     def test_verification_report_defaults(self):
         report = VerificationReport(True, 5, W)
@@ -157,14 +158,14 @@ class TestConstruction:
         assert (full.beta, full.hom_dimension, full.kind) == (Weight((0, 0)), 1, "semiorthogonal")
 
     def test_passed_containers_are_kept(self):
-        conditions = [ConditionRecord(0, (0, 0), OUTCOME)]
+        conditions = [ConditionRecord(0, Weight((0, 0)), OUTCOME)]
         assert VerificationReport(True, 5, W, conditions=conditions).conditions is conditions
 
     def test_check_result_fields(self):
         result = CheckResult("counting", False, "d=5")
         assert (result.name, result.passed, result.detail) == ("counting", False, "d=5")
 
-    @pytest.mark.parametrize("cls, args", [(Weight, ()), (CharPoly, (2,)), (ConditionRecord, (1, (0,))),
+    @pytest.mark.parametrize("cls, args", [(Weight, ()), (CharPoly, (2,)), (ConditionRecord, (1, Weight((0,)))),
                                            (VerificationReport, (True, 5)), (CheckResult, ("a", True)),
                                            (BundleExpr, (3,)), (GradedCohomology, ()), (RepElement, ())])
     def test_missing_required_fields_raise(self, cls, args):
@@ -179,7 +180,7 @@ class TestConstruction:
 class TestFreshDefaults:
     def test_reports_do_not_share_a_conditions_list(self):
         a, b = VerificationReport(True, 5, W), VerificationReport(True, 5, W)
-        a.conditions.append(ConditionRecord(0, (0, 0), OUTCOME))
+        a.conditions.append(ConditionRecord(0, Weight((0, 0)), OUTCOME))
         assert b.conditions == [] and a.conditions is not b.conditions
 
     def test_bundle_exprs_do_not_share_a_terms_dict(self):
@@ -202,9 +203,9 @@ class TestRepr:
         assert repr(OUTCOME) == "BWBOutcome(degree=None, weight=None, repeated_value=3)"
 
     def test_nested(self):
-        record = ConditionRecord(1, (2, 0), BWBOutcome(0, W))
+        record = ConditionRecord(1, Weight((2, 0)), BWBOutcome(0, W))
         assert repr(record) == (
-            "ConditionRecord(q=1, weight=(2, 0), outcome=BWBOutcome(degree=0, "
+            "ConditionRecord(q=1, weight=Weight(entries=(2, 0)), outcome=BWBOutcome(degree=0, "
             "weight=Weight(entries=(1, 0)), repeated_value=None), required_zero=True)"
         )
         assert repr(CheckResult("a", True, "x")) == "CheckResult(name='a', passed=True, detail='x')"

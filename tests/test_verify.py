@@ -128,7 +128,7 @@ def _never_vanishing(monkeypatch, weight=None):
 
 def _in_fibre_terms(w, a, b, top_q=4):
     terms = soc.fibre_terms(soc.ext_decomposition(Weight(a), Weight(b)), top_q)
-    return any(v.entries == w for _, v, _ in terms)
+    return any(Weight(w) in element.terms for element in terms)
 
 
 def test_semiorthogonality_reports_the_least_d_then_the_first_pair(monkeypatch):
