@@ -95,10 +95,11 @@ def ext_decomposition(alpha, beta) -> RepElement:
     """Schur expansion of S^alpha Q^v (x) (S^beta Q^v)^v on the rank-2 fibre.
 
     This is ``tensor(S^alpha, S^(beta.dual()))``, the Clebsch-Gordan sum over
-    g = 0..min(width(alpha), width(beta)) of
-    S(alpha_1 - beta_2 - g, alpha_2 - beta_1 + g).
+    g = 0..m of S(m + n + G - g, G + g), where m <= n are the two labels'
+    widths and G = alpha_2 - beta_1.  So it depends only on the twist class
+    (m, n, G), by which ``verify`` keys its thresholds, and
     ``verify.check_semiorthogonal`` (semi-orthogonality) cross-checks it
-    against the Brauer-Klimyk expansion over the kernel box.
+    against the Brauer-Klimyk expansion on every pair of the kernel box.
     """
     a = _as_label_weight(alpha)
     b = _as_label_weight(beta)

@@ -3,13 +3,12 @@
 Each check returns a CheckResult; run_all drives them with a configurable
 upper bound on the ambient dimension.  All arithmetic is exact, so every
 check is a strict equality with zero tolerance.  The checks that sweep d
-first read a threshold once per distinct Ext, compared on every label or
-pair: its fibre terms (``soc.fibre_terms``) do not depend on d, nor on a
-shift of both labels by (c,c), and ``soc.threshold``, which holds the
+walk d upward and stop at their first failure, so the failure reported is
+the one at the least d, then self-Exts before backward pairs, then the
+partition order.  They read one threshold per twist class: the Ext, so its
+fibre terms (``soc.fibre_terms``), depends only on the smaller width, the
+larger width and alpha_2 - beta_1, and ``soc.threshold``, which holds the
 fibre verdict rule, reads from them the least d from which they pass.
-Each sweep then walks d upward and stops at its first failure, so
-the failure reported is the one at the least d, then self-Exts before
-backward pairs, then the partition order.
 Cotangent-simplicity lives on G(k,d) rather than the fibre, so it compares
 ``bwb.cohomology`` with its closed form directly.
 """
@@ -75,21 +74,24 @@ def check_kummer(d_max: int) -> CheckResult:
     return CheckResult("kummer-count", True, f"exact big-integer counts for d = 5..{top}")
 
 
-def _threshold(seen: dict, ext: rr.RepElement, top_q: int, hom: int) -> float:
-    """``soc.threshold`` of ``ext``'s fibre terms, computed once per distinct (Ext, Hom) in ``seen``."""
-    key = frozenset(ext.terms.items()), hom
+def _threshold(seen: dict, a: Weight, b: Weight, top_q: int) -> float:
+    """``soc.threshold`` of Ext(b, a)'s fibre terms, computed once per twist class in ``seen``.
+
+    Only a label with itself has widths m = n = -(a_2 - b_1), so the class fixes Hom too.
+    """
+    (a1, a2), (b1, b2) = a.entries, b.entries
+    key = min(a1 - a2, b1 - b2), max(a1 - a2, b1 - b2), a2 - b1
     if key not in seen:
-        seen[key] = soc.threshold(soc.fibre_terms(ext, top_q), hom)
+        seen[key] = soc.threshold(soc.fibre_terms(soc.ext_decomposition(a, b), top_q), a == b)
     return seen[key]
 
 
 def check_fully_faithful(d_max: int) -> CheckResult:
     total, seen = 0, {}
     top = _top("fully-faithful", 5, d_max)
-    thresholds = {a: _threshold(seen, soc.ext_decomposition(a, a), bc.NPRIME_RANK, 1) for a in soc.enumerate_ff(top)}
     for d in range(5, top + 1):
         for a in soc.enumerate_ff(d):
-            if d < thresholds[a]:
+            if d < _threshold(seen, a, a, bc.NPRIME_RANK):
                 return CheckResult("fully-faithful", False, f"d={d}, alpha={a} failed")
             total += 1
     return CheckResult("fully-faithful", True, f"{total} narrow labels pass, d = 5..{top}")
@@ -101,17 +103,15 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     ``soc.ext_decomposition(a, b)`` must equal ``_brauer_klimyk(a, b.dual())``,
     the expansion that ``oracle-equivalence`` also reads, which shares no
     code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
-    are in the box and alpha_1 - beta_2 <= d-5.  Each bounded pair's
-    threshold is read from its closed form, computed once per distinct Ext
-    and compared on every pair; the sweep then walks d upward and stops at the
-    first bounded pair below its threshold, or at the first d where a pair
-    of ``soc.enumerate_sos(d)`` is not bounded.
+    are in the box and alpha_1 - beta_2 <= d-5.  The sweep then walks d
+    upward and stops at the first bounded pair below its threshold, computed
+    once per twist class, or at the first d where a pair of
+    ``soc.enumerate_sos(d)`` is not bounded.
     """
     total, seen = 0, {}
     top = _top("semi-orthogonality", 5, d_max)
-    thresholds: dict[tuple[Weight, Weight], float] = {}
     # This cap is the largest of the kernel checks, so the box at top holds
-    # every (alpha, beta) that any of them passes through ext_decomposition.
+    # every (alpha, beta) whose threshold any of them reads.
     labels = soc.box_partitions(top)
     duals = {b: b.dual() for b in labels}
     for a, b in combinations_with_replacement(labels, 2):
@@ -122,12 +122,10 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
                 "semi-orthogonality", False,
                 f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
             )
-        if a != b and a.entries[0] - b.entries[1] <= top - 5:  # a label with itself is compared only
-            thresholds[a, b] = _threshold(seen, closed, bc.NPRIME_RANK, 0)
     for d in range(5, top + 1):
         swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
         for a, b in swept:
-            if d < thresholds[a, b]:
+            if d < _threshold(seen, a, b, bc.NPRIME_RANK):
                 return CheckResult("semi-orthogonality", False, f"d={d}, {a} before {b} failed")
         if not set(combinations(soc.enumerate_sos(d), 2)) <= set(swept):
             return CheckResult("semi-orthogonality", False, f"d={d}: sequence pairs not all covered")
@@ -138,17 +136,13 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
 def check_exceptional_collection(d_max: int) -> CheckResult:
     total, seen = 0, {}
     top = _top("exceptional-collection", 3, d_max)
-    labels = soc.box_partitions(top)
-    # a self-Ext is the pair (a, a), whose Hom is k
-    thresholds = {(a, b): _threshold(seen, soc.ext_decomposition(a, b), 0, a == b)
-                  for a, b in combinations_with_replacement(labels, 2)}
     for d in range(3, top + 1):
         box = soc.box_partitions(d)
         for a in box:
-            if d < thresholds[a, a]:
+            if d < _threshold(seen, a, a, 0):
                 return CheckResult("exceptional-collection", False, f"d={d}, alpha={a}")
         for a, b in combinations(box, 2):
-            if d < thresholds[a, b]:
+            if d < _threshold(seen, a, b, 0):
                 # Borel-Weil-Bott runs only to print what survives
                 coh = cohomology(BundleExpr.from_qdual(d, 2, soc.ext_decomposition(a, b)))
                 return CheckResult("exceptional-collection", False, f"d={d}: backward Ext {a} before {b}: {coh}")

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -223,33 +223,46 @@ def _with_trivial_summand(monkeypatch, where):
     )
 
 
-def test_exceptional_collection_reports_a_self_ext_before_a_backward_pair(monkeypatch):
-    # a label is in the box from d = max(3, a_1 + 2), a pair from the later of its two labels'
-    def first_d(*labels):
-        return max(3, *(a.entries[0] + 2 for a in labels))
+def _twist_class(a, b):
+    """(m, n, G): the smaller width, the larger width and a_2 - b_1, all that the Clebsch-Gordan Ext reads."""
+    wa, wb = a.entries[0] - a.entries[1], b.entries[0] - b.entries[1]
+    return min(wa, wb), max(wa, wb), a.entries[1] - b.entries[0]
 
-    # (3,2)'s Hom doubles from d = 5, and every backward pair listed from d = 5 on survives
-    worse = Weight((3, 2))
-    _with_trivial_summand(monkeypatch, lambda a, b: a == b == worse or (a != b and first_d(a, b) >= 5))
+
+def _widest(a, b):
+    return _twist_class(a, b)[1]
+
+
+def test_exceptional_collection_reports_a_self_ext_before_a_backward_pair(monkeypatch):
+    # a label of width w is in the box from d = max(3, w + 2), (w,0) first,
+    # and a pair whose wider label has width n from d = max(3, n + 2); each
+    # fault is a predicate on the twist class, as Clebsch-Gordan would
+    # produce it, so every pair of a class sees it.
+    # The width-3 labels' Hom doubles, and every backward pair with a label
+    # of width 3 or more survives: all from d = 5
+    _with_trivial_summand(monkeypatch, lambda a, b: _twist_class(a, b) == (3, 3, -3) or (a != b and _widest(a, b) >= 3))
     result = verify.check_exceptional_collection(8)
     assert not result.passed
-    assert result.detail == "d=5, alpha=(3,2)"
-    # on top of those, the backward pairs listed from d = 4 survive: the lower d comes first
-    _with_trivial_summand(monkeypatch, lambda a, b: a != b and first_d(a, b) == 4)
+    assert result.detail == "d=5, alpha=(3,0)"
+    # on top of those, the backward pairs whose wider label has width 2
+    # survive, from d = 4: the lower d comes first
+    _with_trivial_summand(monkeypatch, lambda a, b: a != b and _widest(a, b) == 2)
     result = verify.check_exceptional_collection(8)
     assert not result.passed
-    assert result.detail == "d=4: backward Ext (2,2) before (2,1): H^0 = S(0,0,0,0)"
+    assert result.detail == "d=4: backward Ext (2,2) before (2,0): H^0 = S(0,0,0,0)"
 
 
 @pytest.mark.parametrize(
-    "label, ff_detail, exc_detail",
-    [((2, 1), "d=6, alpha=(2,1) failed", "d=4, alpha=(2,1)"), ((0, 0), "d=5, alpha=(0,0) failed", "d=3, alpha=(0,0)")],
+    "width, ff_detail, exc_detail",
+    [(1, "d=6, alpha=(4,3) failed", "d=3, alpha=(1,0)"), (0, "d=5, alpha=(3,3) failed", "d=3, alpha=(1,1)")],
+    ids=["width-1", "width-0"],
 )
-def test_self_ext_checks_fail_on_a_doubled_identity(monkeypatch, label, ff_detail, exc_detail):
-    # every summand but the identity still vanishes, so only Hom = 2 can fail the label
+def test_self_ext_checks_fail_on_a_doubled_identity(monkeypatch, width, ff_detail, exc_detail):
+    # every summand but the identity still vanishes, so only Hom = 2 can fail
+    # a label; the identity doubles for every label of the width, which is its
+    # twist class, so each check fails at the first such label it lists
     assert verify.check_fully_faithful(9).passed and verify.check_exceptional_collection(8).passed
-    doubled = Weight(label)
-    _with_trivial_summand(monkeypatch, lambda a, b: a == b == doubled)
+    _with_trivial_summand(monkeypatch, lambda a, b: _twist_class(a, b) == (width, width, -width))
     ff, exc = verify.check_fully_faithful(9), verify.check_exceptional_collection(8)
     assert (ff.passed, ff.detail) == (False, ff_detail)
     assert (exc.passed, exc.detail) == (False, exc_detail)
@@ -270,10 +283,11 @@ def _counting(monkeypatch, module, name, calls):
     "check, d_max, expected",
     [
         # the closed form meets Brauer-Klimyk on all 666 pairs of the box at
-        # d = 9, but its 330 bounded pairs hold only 49 distinct Exts
-        (verify.check_semiorthogonal, 9, {"ext_decomposition": 666, "_brauer_klimyk": 666, "fibre_terms": 49}),
-        (verify.check_exceptional_collection, 8, {"ext_decomposition": 406, "fibre_terms": 106}),
-        (verify.check_fully_faithful, 9, {"ext_decomposition": 30, "fibre_terms": 5}),
+        # d = 9, but its 330 bounded pairs hold only 49 twist classes, so 49
+        # distinct Exts; each class builds its Ext once more for its threshold
+        (verify.check_semiorthogonal, 9, {"ext_decomposition": 715, "_brauer_klimyk": 666, "fibre_terms": 49}),
+        (verify.check_exceptional_collection, 8, {"ext_decomposition": 106, "fibre_terms": 106}),
+        (verify.check_fully_faithful, 9, {"ext_decomposition": 5, "fibre_terms": 5}),
     ],
     ids=["semi-orthogonality", "exceptional-collection", "fully-faithful"],
 )
@@ -285,16 +299,52 @@ def test_kernel_sweeps_read_one_threshold_per_distinct_ext(monkeypatch, check, d
     assert calls == expected
 
 
+def test_the_twist_class_fixes_the_ext_and_a_self_pair():
+    # the premise of the kernel sweeps' threshold key: on the box at D = 16,
+    # all ordered pairs of a twist class, self pairs included, have one Ext,
+    # distinct classes have distinct Exts, and only a label with itself has
+    # m = n = -G, so the class fixes Hom too
+    labels = soc.box_partitions(16)
+    exts = {}
+    for a, b in product(labels, repeat=2):
+        m, n, g = key = _twist_class(a, b)
+        exts.setdefault(key, set()).add(frozenset(soc.ext_decomposition(a, b).terms.items()))
+        assert (m == n == -g) == (a == b), (a, b)
+    assert len(labels) ** 2 == 14400 and len(exts) == 1800
+    assert all(len(e) == 1 for e in exts.values()) and len(set().union(*exts.values())) == 1800
+
+
+def test_semiorthogonality_catches_a_closed_form_wrong_in_one_pair_alone(monkeypatch):
+    # a kernel sweep reads each twist class's threshold from one pair, so it
+    # relies on every pair it reads being compared with Brauer-Klimyk, which
+    # shares no code with Clebsch-Gordan, in the same run
+    caps = verify.D_CAPS
+    read = {(a, a) for d in range(5, caps["fully-faithful"] + 1) for a in soc.enumerate_ff(d)}
+    for d in range(3, caps["exceptional-collection"] + 1):
+        box = soc.box_partitions(d)
+        read |= set(zip(box, box)) | set(combinations(box, 2))
+    assert read <= set(combinations_with_replacement(soc.box_partitions(caps["semi-orthogonality"]), 2))
+    doubled = Weight((2, 1))
+    _with_trivial_summand(monkeypatch, lambda a, b: a == b == doubled)
+    result = verify.check_semiorthogonal(9)
+    assert (result.passed, result.detail) == (
+        False, "Ext((2,1),(2,1)): closed form S(1,-1) + 2*S(0,0) vs Brauer-Klimyk S(1,-1) + S(0,0)"
+    )
+
+
 def test_semiorthogonality_fails_the_one_pair_whose_ext_changed(monkeypatch):
-    # (5,3) before (4,4) and (4,2) before (3,3) share the Ext S(1,-1), and the
-    # threshold loop reads (5,3)'s first; an extra S(0,0) in the Ext of
-    # (4,2) before (3,3) alone, through the closed form and Brauer-Klimyk
-    # alike, must fail that pair and no other
+    # (4,2) before (3,3) shares its twist class, so its Ext S(1,-1) and its
+    # threshold, with (5,3) before (4,4), earlier in the partition order, and
+    # with (3,1) before (2,2), later. The class is first bounded at d = 6,
+    # before (5,3) is in the box, so the sweep reads its threshold from
+    # (4,2) before (3,3). An extra S(0,0) in that pair's Ext alone, through
+    # the closed form and Brauer-Klimyk alike, must fail that pair and no other
     a, b = Weight((4, 2)), Weight((3, 3))
     same = soc.ext_decomposition(Weight((5, 3)), Weight((4, 4)))
     assert soc.ext_decomposition(a, b) == same == RepElement.schur(2, (1, -1))
+    assert _twist_class(a, b) == _twist_class(Weight((5, 3)), Weight((4, 4)))
     labels = soc.box_partitions(9)
-    assert labels.index(Weight((5, 3))) < labels.index(a)
+    assert labels.index(Weight((5, 3))) < labels.index(a) and Weight((5, 3)) not in soc.box_partitions(6)
     assert verify.check_semiorthogonal(9).passed  # nothing carries over from this call
     _with_trivial_summand(monkeypatch, lambda x, y: (x, y) == (a, b))
     brauer_klimyk = verify._brauer_klimyk
@@ -474,13 +524,14 @@ def test_kernel_sweeps_match_a_d_major_loop_over_the_single_d_reports(monkeypatc
     "where",
     [
         lambda a, b: False,  # passes
-        lambda a, b: a == b == Weight((2, 1)),  # a self-Ext at d = 4
-        lambda a, b: a != b and a.entries[0] >= 4,  # a backward pair at d = 6
-        lambda a, b: b == Weight((5, 0)),  # at d = 7, its self-Ext before its backward pairs
+        lambda a, b: _twist_class(a, b) == (1, 1, -1),  # the width-1 self-Exts, at d = 3
+        lambda a, b: a != b and _widest(a, b) >= 4,  # a backward pair at d = 6
+        lambda a, b: _widest(a, b) == 5,  # at d = 7, (5,0)'s self-Ext before its backward pairs
     ],
     ids=["pass", "self-ext", "pair", "self-ext-first"],
 )
 def test_exceptional_collection_matches_a_d_major_loop_over_the_single_d_reports(monkeypatch, where):
-    # an extra S(0,0) in the Ext decomposition, which never vanishes
+    # an extra S(0,0), which never vanishes, in the Ext of each pair of a
+    # twist class, as Clebsch-Gordan would produce it
     _with_trivial_summand(monkeypatch, where)
     assert verify.check_exceptional_collection(8) == _d_major_exceptional_collection(8)
