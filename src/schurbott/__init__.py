@@ -4,7 +4,6 @@ planar locus of the Hilbert scheme of three points."""
 
 from .partitions import Weight, parse_weight
 from .rep_ring import (
-    CharPoly,
     RepElement,
     char_of,
     decompose,
@@ -31,7 +30,6 @@ __all__ = [
     "Weight",
     "parse_weight",
     "RepElement",
-    "CharPoly",
     "tensor",
     "dual",
     "sym_power",

@@ -27,27 +27,24 @@ from __future__ import annotations
 
 from math import inf
 
-from .partitions import Frozen, Value, Weight, trivial
+from .partitions import Value, Weight, trivial
 from .rep_ring import RepElement, tensor as _rep_tensor, weyl_dim
 
 
-class BWBOutcome(Frozen):
+class BWBOutcome(Value):
     """Cohomology of a single irreducible homogeneous bundle.
 
     Either zero (with the repeated dotted-weight value as a witness), or
     concentrated in one degree with an irreducible GL_d weight for the
-    dual ambient space.
+    dual ambient space.  A plain mutable value: it is never a key.
     """
 
     __slots__ = ("degree", "weight", "repeated_value")
-    degree: int | None
-    weight: Weight | None
-    repeated_value: int | None
 
     def __init__(self, degree: int | None = None, weight: Weight | None = None, repeated_value: int | None = None):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "repeated_value", repeated_value)
+        self.degree = degree
+        self.weight = weight
+        self.repeated_value = repeated_value
 
     @property
     def is_zero(self) -> bool:

@@ -1,4 +1,8 @@
-"""Generalized Young diagrams: GL_r highest weights with possibly negative entries."""
+"""Generalized Young diagrams: GL_r highest weights with possibly negative entries.
+
+``Value`` is the base of all eight value types of the package.  ``Weight``
+is the one immutable, hashable value, because it is the one key.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +16,10 @@ class Value:
     The fields are the subclass's ``__slots__``, in constructor order.  An
     instance is equal only to one of the same class with equal fields, prints
     as ``Name(field=value, ...)`` and, since it defines ``__eq__`` alone, is
-    unhashable unless it is ``Frozen``.  Equality and hashing read the fields
-    through ``_key``, one ``attrgetter`` call: a tuple of the fields, or the
-    lone field of a one-field class.
+    unhashable.  Equality reads the fields through ``_key``, one
+    ``attrgetter`` call: a tuple of the fields, or the lone field of a
+    one-field class.  ``Weight`` alone is immutable and hashable, because
+    it is the one dict and cache key.
     """
 
     __slots__ = ()
@@ -34,26 +39,7 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-class Frozen(Value):
-    """An immutable, hashable ``Value``: ``__init__`` sets each field once,
-    through ``object.__setattr__``, and any later assignment raises."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-class Weight(Frozen):
+class Weight(Value):
     """A non-increasing integer vector of fixed length r.
 
     The weight is stored dense, including zero tails; the rank is the
@@ -61,7 +47,9 @@ class Weight(Frozen):
     representations of GL_r / K-theory classes), so there is no canonical
     sparse form.  Non-integral entries (floats, strings) raise TypeError.
     The constructor is the one place a weight is validated.  Equality and
-    hashing read ``entries`` directly: a weight is the commonest dict key.
+    hashing read ``entries`` directly.  A weight is the package's one dict
+    and cache key, so it alone is immutable: ``__init__`` sets ``entries``
+    once, and any later assignment or deletion raises.
     """
 
     __slots__ = ("entries",)
@@ -82,6 +70,15 @@ class Weight(Frozen):
 
     def __hash__(self) -> int:
         return hash(self.entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Weight, (self.entries,)
 
     @property
     def rank(self) -> int:

@@ -14,23 +14,22 @@ Symmetric/exterior powers and general plethysms go through an independent
 character-polynomial oracle: expand into a multiset of weight monomials by
 the Gelfand-Tsetlin branching rule, apply the elementary or complete
 symmetric function, and peel the result back into Schur terms, each highest
-weight once.  A character stores its coefficients as a sorted tuple of
-(exponent vector, coefficient) pairs; ``schur_char`` builds each weight's
-character once and hands out the same object on every later call, so
-characters are never mutated.  Weyl dimensions are exact integer products,
-reduced row by row.
+weight once.  A character is a plain sorted tuple of (exponent vector,
+coefficient) pairs with no zero coefficient; ``schur_char`` builds each
+weight's character once and hands out the same tuple on every later call,
+which is safe because a tuple is immutable.  Weyl dimensions are exact
+integer products, reduced row by row.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
-from .partitions import Frozen, Value, Weight, _stripped, trivial
+from .partitions import Value, Weight, _stripped, trivial
 
 
 class DecompositionError(ValueError):
@@ -259,7 +258,8 @@ class RepElement(Value):
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
-        return sorted(self.terms.items(), key=lambda t: tuple(-e for e in t[0].entries))
+        """Terms in the Schur order: lexicographically largest weight first."""
+        return sorted(self.terms.items(), key=lambda t: t[0].entries, reverse=True)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -342,50 +342,6 @@ def dual(a: RepElement) -> RepElement:
 # Character oracle
 # ---------------------------------------------------------------------------
 
-class CharPoly(Frozen):
-    """Symmetric integer Laurent polynomial in ``rank`` variables.
-
-    ``coeffs`` is a tuple of (exponent vector, coefficient) pairs, sorted by
-    exponent vector, with no zero coefficient, so two equal polynomials have
-    equal ``coeffs``.  The exponent vectors are the weights of the
-    representation, so symmetry under permuting the variables is automatic
-    for genuine characters.  ``schur_char`` memoises one instance per weight
-    and shares it, so an instance is never mutated.
-    """
-
-    __slots__ = ("rank", "coeffs")
-    rank: int
-    coeffs: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __init__(self, rank: int, coeffs: tuple[tuple[tuple[int, ...], int], ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_counter(cls, rank: int, counts: Mapping[tuple[int, ...], int]) -> "CharPoly":
-        return cls(rank, tuple(sorted((e, c) for e, c in counts.items() if c != 0)))
-
-    def __mul__(self, other: "CharPoly") -> "CharPoly":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out: dict[tuple[int, ...], int] = {}
-        get, add = out.get, operator.add
-        for ea, ca in self.coeffs:
-            for eb, cb in other.coeffs:
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
-        return CharPoly.from_counter(self.rank, out)
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        """Multiset of exponent vectors; requires non-negative coefficients."""
-        out = []
-        for e, c in self.coeffs:
-            if c < 0:
-                raise ValueError("negative coefficient; not a genuine character")
-            out.extend([e] * c)
-        return out
-
-
 def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Weight multiset of s_shape(x_1..x_rank) by the Gelfand-Tsetlin branching rule.
 
@@ -431,10 +387,10 @@ def _schur_monomials(shape: tuple[int, ...], rank: int) -> tuple[tuple[tuple[int
 
 
 @lru_cache(maxsize=None)
-def schur_char(w: Weight) -> CharPoly:
+def schur_char(w: Weight) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Character of Sigma^w as a Laurent polynomial, through the determinant shift.
 
-    Memoised per weight; callers share the returned object.  Subtracting m
+    Memoised per weight; callers share the returned tuple.  Subtracting m
     from every exponent keeps the monomials sorted and their coefficients
     nonzero, so the shifted tuple is stored as it is.
     """
@@ -442,19 +398,19 @@ def schur_char(w: Weight) -> CharPoly:
     mons = _schur_monomials(shape, w.rank)
     if m:
         mons = tuple((tuple(x - m for x in e), c) for e, c in mons)
-    return CharPoly(w.rank, mons)
+    return mons
 
 
-def char_of(a: RepElement) -> CharPoly:
+def char_of(a: RepElement) -> tuple[tuple[tuple[int, ...], int], ...]:
     out: dict[tuple[int, ...], int] = {}
     get = out.get
     for w, c in a.terms.items():
-        for e, mult in schur_char(w).coeffs:
+        for e, mult in schur_char(w):
             out[e] = get(e, 0) + c * mult
-    return CharPoly.from_counter(a.rank, out)
+    return tuple(sorted((e, c) for e, c in out.items() if c))
 
 
-def decompose(c: CharPoly) -> RepElement:
+def decompose(char, rank: int) -> RepElement:
     """Invert char_of by peeling highest weights.
 
     The lexicographically largest remaining exponent vector w is a highest
@@ -462,20 +418,22 @@ def decompose(c: CharPoly) -> RepElement:
     then subtracted.  Every weight of S^w is at most w in lex order, so each
     vector is peeled once, and a genuine or virtual character ends as its
     Schur expansion; a non-dominant leading vector fails as a ``Weight``.
+    ``char`` is a character or any mapping from exponent vectors to
+    coefficients; the rank is passed, since a zero character has no vector.
     """
-    remaining = dict(c.coeffs)
+    remaining = dict(char)
     terms: dict[Weight, int] = {}
     while remaining:
         top = max(remaining)
         w, mult = Weight(top), remaining[top]
         terms[w] = mult
-        for e, k in schur_char(w).coeffs:
+        for e, k in schur_char(w):
             v = remaining.get(e, 0) - mult * k
             if v:
                 remaining[e] = v
             else:
                 del remaining[e]
-    return RepElement(c.rank, terms)
+    return RepElement(rank, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +451,9 @@ def _power(a: RepElement, m: int, choose) -> RepElement:
         return RepElement.one(a.rank)
     if not a.is_effective():
         raise ValueError("plethysm of a non-effective element is undefined")
-    combos = choose(char_of(a).monomials(), m)
+    combos = choose([e for e, c in char_of(a) for _ in range(c)], m)
     counts = Counter(tuple(map(sum, zip(*combo))) for combo in combos)
-    result = decompose(CharPoly.from_counter(a.rank, counts))
+    result = decompose(counts, a.rank)
     if not result.is_effective():
         raise DecompositionError(f"peeling produced a negative multiplicity: {result}")
     return result

@@ -207,7 +207,7 @@ def _brauer_klimyk(a: Weight, b: Weight) -> dict[Weight, int]:
     rank = a.rank
     rho = range(rank - 1, -1, -1)
     out: dict[tuple[int, ...], int] = {}
-    for e, mult in rr.schur_char(a).coeffs:
+    for e, mult in rr.schur_char(a):
         key = tuple(map(add, b.entries, e))
         if not all(map(ge, key, key[1:])):
             v = [x + p for x, p in zip(key, rho)]

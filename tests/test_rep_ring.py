@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from schurbott import rep_ring
 from schurbott.partitions import Weight
 from schurbott.rep_ring import (
-    CharPoly,
     DecompositionError,
     RepElement,
     char_of,
@@ -23,7 +22,7 @@ from schurbott.rep_ring import (
     tensor,
     weyl_dim,
 )
-from young import from_hook, to_hook, transpose, weight
+from young import char_product, from_hook, to_hook, transpose, weight
 
 
 def S(rank, *entries):
@@ -56,9 +55,9 @@ small_partition = st.lists(
 
 def assert_canonical(char):
     """Exponent vectors strictly increasing (sorted, no repeats) and no zero coefficient."""
-    exponents = [e for e, _ in char.coeffs]
+    exponents = [e for e, _ in char]
     assert exponents == sorted(set(exponents))
-    assert all(c != 0 for _, c in char.coeffs)
+    assert all(c != 0 for _, c in char)
 
 
 class TestWeylDim:
@@ -85,7 +84,7 @@ class TestWeylDim:
         for p in [(1,), (2,), (2, 1), (3, 1), (2, 2)]:
             padded = p + (0,) * (3 - len(p))
             char = schur_char(Weight(padded))
-            assert sum(c for _, c in char.coeffs) == weyl_dim(Weight(padded))
+            assert sum(c for _, c in char) == weyl_dim(Weight(padded))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_shifted_character(self, rank):
@@ -95,11 +94,11 @@ class TestWeylDim:
                 continue
             char = schur_char(Weight(entries))
             assert_canonical(char)
-            assert sum(c for _, c in char.coeffs) == weyl_dim(Weight(entries))
+            assert sum(c for _, c in char) == weyl_dim(Weight(entries))
             m = -min(0, entries[-1])
             if m:
                 unshifted = schur_char(Weight(tuple(e + m for e in entries)))
-                assert char.coeffs == tuple((tuple(x - m for x in e), c) for e, c in unshifted.coeffs)
+                assert char == tuple((tuple(x - m for x in e), c) for e, c in unshifted)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_cancelling_product(self, rank):
@@ -108,11 +107,11 @@ class TestWeylDim:
         std, one = S(rank, 1), RepElement.one(rank)
         for a in (std, dual(std)):
             x, y = a - one, a + one
-            product = char_of(x) * char_of(y)
+            product = char_product(char_of(x), char_of(y))
             assert_canonical(product)
-            assert {abs(sum(e)) for e, _ in product.coeffs} == {0, 2}
-            assert sum(c for _, c in product.coeffs) == x.dimension() * y.dimension()
-            assert product.coeffs == char_of(tensor(x, y)).coeffs
+            assert {abs(sum(e)) for e, _ in product} == {0, 2}
+            assert sum(c for _, c in product) == x.dimension() * y.dimension()
+            assert product == char_of(tensor(x, y))
 
 
 
@@ -130,7 +129,7 @@ class TestLR:
             for a, b in itertools.product(shapes, repeat=2):
                 x = S(rank, *a + (0,) * (rank - len(a)))
                 y = S(rank, *b + (0,) * (rank - len(b)))
-                assert tensor(x, y) == decompose(char_of(x) * char_of(y)), (rank, a, b)
+                assert tensor(x, y) == decompose(char_product(char_of(x), char_of(y)), rank), (rank, a, b)
 
     def test_conjugated_orientation_matches_character_oracle(self):
         # tall factors (parts <= 3, more rows than columns) make lr_coefficients
@@ -145,7 +144,7 @@ class TestLR:
                     continue
                 x = S(rank, *a + (0,) * (rank - len(a)))
                 y = S(rank, *b + (0,) * (rank - len(b)))
-                assert tensor(x, y) == decompose(char_of(x) * char_of(y)), (rank, a, b)
+                assert tensor(x, y) == decompose(char_product(char_of(x), char_of(y)), rank), (rank, a, b)
                 dropped += lr_coefficients(a, b, rank) != lr_coefficients(a, b, len(a) + len(b))
             assert dropped, rank
 
@@ -244,13 +243,13 @@ class TestLR:
         weights = [w for w in itertools.product(range(4, -5, -1), repeat=2) if w[0] >= w[1]]
         for a, b in itertools.product(weights, repeat=2):
             x, y = S(2, *a), S(2, *b)
-            assert tensor(x, y) == decompose(char_of(x) * char_of(y)), (a, b)
+            assert tensor(x, y) == decompose(char_product(char_of(x), char_of(y)), 2), (a, b)
 
     def test_clebsch_gordan_matches_the_character_oracle_with_multiplicities(self):
         x = S(2, 3, 1) + S(2, 0, -2).scaled(2) - S(2, 1, 1)
         y = S(2, 2, 0).scaled(3) + S(2, -1, -3) + S(2, 4, 4)
         for a, b in ((x, y), (y, x), (x, x), (x, RepElement.zero(2))):
-            assert tensor(a, b) == decompose(char_of(a) * char_of(b))
+            assert tensor(a, b) == decompose(char_product(char_of(a), char_of(b)), 2)
         # the S(1,0) terms cancel
         got = tensor(S(2, 1, 0) - S(2, 0, 0), S(2, 1, 0) + S(2, 0, 0))
         assert got == S(2, 2, 0) + S(2, 1, 1) - S(2, 0, 0)
@@ -314,17 +313,11 @@ class TestDual:
 
 
 class TestCharacterOracle:
-    def test_charpoly_guards(self):
-        with pytest.raises(ValueError, match="^rank mismatch$"):
-            char_of(S(2, 1, 0)) * char_of(S(3, 1, 0, 0))
-        with pytest.raises(ValueError, match="^negative coefficient; not a genuine character$"):
-            char_of(S(2, 1, 0) - S(2, 0, 0)).monomials()
-
     def test_oracle_agrees_with_lr(self):
         for a, b in itertools.product(partitions_of(4, 3), partitions_of(3, 3)):
             x = RepElement.schur(3, a + (0,) * (3 - len(a)))
             y = RepElement.schur(3, b + (0,) * (3 - len(b)))
-            assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
+            assert char_of(tensor(x, y)) == char_product(char_of(x), char_of(y))
 
     def test_oracle_agrees_with_lr_on_negative_weights(self):
         # entries in [-2, 2]: the weights with a negative entry take the determinant shift
@@ -336,7 +329,7 @@ class TestCharacterOracle:
             ]
             for a, b in itertools.product(weights, repeat=2):
                 x, y = S(rank, *a), S(rank, *b)
-                assert char_of(tensor(x, y)).coeffs == (char_of(x) * char_of(y)).coeffs
+                assert char_of(tensor(x, y)) == char_product(char_of(x), char_of(y))
 
     @pytest.mark.parametrize("k", [1, 5, 24, 99])
     def test_column_characters(self, k):
@@ -344,33 +337,32 @@ class TestCharacterOracle:
         # filling that does not look ahead tries about 2^(k+1) columns here.
         char = schur_char(Weight((1,) * k + (0,)))
         expected = sorted(tuple(int(i != j) for i in range(k + 1)) for j in range(k + 1))
-        assert char.coeffs == tuple((e, 1) for e in expected)
+        assert char == tuple((e, 1) for e in expected)
 
     @pytest.mark.parametrize("length", [1, 50, 2000])
     def test_row_characters(self, length):
         char = schur_char(Weight((length, 0)))
-        assert char.coeffs == tuple(((i, length - i), 1) for i in range(length + 1))
+        assert char == tuple(((i, length - i), 1) for i in range(length + 1))
 
     def test_decompose_inverts_char(self):
         x = S(3, 3, 1, 0) + S(3, 2, 2, 2).scaled(2)
-        assert decompose(char_of(x)) == x
+        assert decompose(char_of(x), 3) == x
 
     def test_decompose_rejects_non_character(self):
-        bad = CharPoly.from_counter(2, {(0, 1): 1})
         with pytest.raises(ValueError, match="non-increasing"):
-            decompose(bad)
+            decompose((((0, 1), 1),), 2)
 
     def test_power_rejects_virtual_peel(self, monkeypatch):
         virtual = char_of(S(2, 1, 0) - S(2, 1, 1))
-        assert decompose(virtual) == S(2, 1, 0) - S(2, 1, 1)
-        monkeypatch.setattr(rep_ring, "decompose", lambda c: S(2, 1, 0) - S(2, 1, 1))
+        assert decompose(virtual, 2) == S(2, 1, 0) - S(2, 1, 1)
+        monkeypatch.setattr(rep_ring, "decompose", lambda char, rank: S(2, 1, 0) - S(2, 1, 1))
         for power in (ext_power, sym_power):
             with pytest.raises(DecompositionError):
                 power(S(3, 1, 0, 0), 2)
 
     def test_full_column_at_rank_400(self):
         # the deepest Gelfand-Tsetlin recursion the CLI's rank bound allows
-        assert schur_char(Weight((1,) * 400)).coeffs == (((1,) * 400, 1),)
+        assert schur_char(Weight((1,) * 400)) == (((1,) * 400, 1),)
 
 
 def even_rows(p):
@@ -481,8 +473,9 @@ class TestPlethysm:
             assert sym_power(x, m).dimension() == comb(8 + m - 1, m)
 
     def test_rejects_virtual_input(self):
-        with pytest.raises(ValueError):
-            ext_power(S(2, 1, 0) - S(2, 0, 0), 2)
+        for power in (ext_power, sym_power):
+            with pytest.raises(ValueError, match="^plethysm of a non-effective element is undefined$"):
+                power(S(2, 1, 0) - S(2, 0, 0), 2)
 
     @pytest.mark.parametrize("power", [ext_power, sym_power])
     def test_rejects_a_negative_power(self, power):

@@ -1,28 +1,33 @@
 """The contract of the package's value types: construction, defaults,
 equality, hashing, immutability, repr and copying.
 
-Nine classes carry values between the layers: ``Weight``, ``CharPoly``,
-``BWBOutcome``, ``BundleExpr``, ``GradedCohomology``, ``ConditionRecord``,
-``VerificationReport``, ``CheckResult`` and ``RepElement``.  Each is equal
-only to an instance of the same class with equal fields.  The first three
-are immutable and hashable (weights and characters are dict and cache keys);
-the other six are mutable and unhashable.  ``RepElement`` prints as its Schur
-sum, not through the shared repr.
+Eight classes carry values between the layers, all on the ``Value`` base:
+``Weight``, ``BWBOutcome``, ``BundleExpr``, ``GradedCohomology``,
+``ConditionRecord``, ``VerificationReport``, ``CheckResult`` and
+``RepElement``.  Each is equal only to an instance of the same class with
+equal fields.  ``Weight`` alone is immutable and hashable, because it is the
+one dict and cache key; the other seven are mutable and unhashable.  A
+character is no value type: it is a plain sorted tuple, which caches hold as
+a value, never as a key.  ``RepElement`` prints as its Schur sum, not through
+the shared repr.  ``TestContract`` finds every ``Value`` subclass in the
+package, so a value type cannot be added or deleted without this file.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import schurbott
 from schurbott.bwb import BWBOutcome, BundleExpr, GradedCohomology
-from schurbott.partitions import Weight
-from schurbott.rep_ring import CharPoly, RepElement
+from schurbott.partitions import Value, Weight
+from schurbott.rep_ring import RepElement
 from schurbott.soc import ConditionRecord, VerificationReport
 from schurbott.verify import CheckResult
 
 W = Weight((1, 0))
-COEFFS = (((0, 1), 1), ((1, 0), 1))
 OUTCOME = BWBOutcome(repeated_value=3)
 
 
@@ -30,7 +35,6 @@ def same_twice():
     """Pairs of equal but distinct instances, one pair per class."""
     return [
         (Weight((5, 3)), Weight(entries=(5, 3))),
-        (CharPoly(2, COEFFS), CharPoly(rank=2, coeffs=COEFFS)),
         (BWBOutcome(0, W, None), BWBOutcome(degree=0, weight=Weight((1, 0)))),
         (BundleExpr(3, 1, {(Weight((0, 0)), Weight((1,))): 2}),
          BundleExpr(d=3, k=1, terms={(Weight((0, 0)), Weight((1,))): 2})),
@@ -45,7 +49,6 @@ def same_twice():
 
 FIELDS = {
     Weight: ("entries",),
-    CharPoly: ("rank", "coeffs"),
     BWBOutcome: ("degree", "weight", "repeated_value"),
     BundleExpr: ("d", "k", "terms"),
     GradedCohomology: ("d", "groups"),
@@ -54,7 +57,6 @@ FIELDS = {
     CheckResult: ("name", "passed", "detail"),
     RepElement: ("rank", "terms"),
 }
-FROZEN = [(Weight((5, 3)), "entries"), (CharPoly(2, COEFFS), "coeffs"), (OUTCOME, "degree")]
 IDS = [type(a).__name__ for a, _ in same_twice()]
 
 
@@ -67,7 +69,6 @@ class TestEquality:
         "a, b",
         [
             (Weight((5, 3)), Weight((5, 2))),
-            (CharPoly(2, COEFFS), CharPoly(2, COEFFS[:1])),
             (BWBOutcome(repeated_value=3), BWBOutcome(repeated_value=4)),
             (BundleExpr(3, 1), BundleExpr(3, 2)),
             (GradedCohomology(3), GradedCohomology(4)),
@@ -89,19 +90,19 @@ class TestEquality:
 
 
 class TestHashing:
-    @pytest.mark.parametrize("a, b", same_twice()[:3], ids=IDS[:3])
+    @pytest.mark.parametrize("a, b", same_twice()[:1], ids=IDS[:1])
     def test_frozen_types_hash_by_value(self, a, b):
         assert hash(a) == hash(b)
         assert len({a, b}) == 1 and {a: 1}[b] == 1
 
-    @pytest.mark.parametrize("a, _", same_twice()[3:], ids=IDS[3:])
+    @pytest.mark.parametrize("a, _", same_twice()[1:], ids=IDS[1:])
     def test_mutable_types_are_unhashable(self, a, _):
         with pytest.raises(TypeError):
             hash(a)
 
 
 class TestImmutability:
-    @pytest.mark.parametrize("value, field", FROZEN, ids=IDS[:3])
+    @pytest.mark.parametrize("value, field", [(Weight((5, 3)), "entries")], ids=IDS[:1])
     def test_assignment_and_deletion_raise(self, value, field):
         before = getattr(value, field)
         with pytest.raises(AttributeError):
@@ -116,16 +117,17 @@ class TestImmutability:
         report = VerificationReport(False, 5, W)
         report.verdict = True
         assert report == VerificationReport(True, 5, W)
+        outcome = BWBOutcome(repeated_value=3)
+        outcome.degree, outcome.weight, outcome.repeated_value = 0, W, None
+        assert outcome == BWBOutcome(0, W) and not outcome.is_zero
+        with pytest.raises(AttributeError):
+            outcome.extra = 1
 
 
 class TestConstruction:
     def test_weight_keyword_and_any_integral_iterable(self):
         assert Weight(entries=[5, 3]).entries == (5, 3)
         assert Weight(iter((2, -1))).entries == (2, -1)
-
-    def test_char_poly_positional_order(self):
-        c = CharPoly(2, COEFFS)
-        assert (c.rank, c.coeffs) == (2, COEFFS)
 
     def test_bwb_outcome_defaults(self):
         zero = BWBOutcome(repeated_value=3)
@@ -165,7 +167,7 @@ class TestConstruction:
         result = CheckResult("counting", False, "d=5")
         assert (result.name, result.passed, result.detail) == ("counting", False, "d=5")
 
-    @pytest.mark.parametrize("cls, args", [(Weight, ()), (CharPoly, (2,)), (ConditionRecord, (1, Weight((0,)))),
+    @pytest.mark.parametrize("cls, args", [(Weight, ()), (ConditionRecord, ()), (ConditionRecord, (1, Weight((0,)))),
                                            (VerificationReport, (True, 5)), (CheckResult, ("a", True)),
                                            (BundleExpr, (3,)), (GradedCohomology, ()), (RepElement, ())])
     def test_missing_required_fields_raise(self, cls, args):
@@ -209,7 +211,6 @@ class TestRepr:
             "weight=Weight(entries=(1, 0)), repeated_value=None), required_zero=True)"
         )
         assert repr(CheckResult("a", True, "x")) == "CheckResult(name='a', passed=True, detail='x')"
-        assert repr(CharPoly(1, (((1,), 1),))) == "CharPoly(rank=1, coeffs=(((1,), 1),))"
         assert repr(BundleExpr(3, 1)) == "BundleExpr(d=3, k=1, terms={})"
         assert repr(GradedCohomology(3)) == "GradedCohomology(d=3, groups={})"
         assert repr(VerificationReport(True, 5, W)) == (
@@ -224,3 +225,16 @@ class TestCopying:
         for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert type(clone) is type(a) and clone == a
 
+
+class TestContract:
+    def test_every_value_type_is_in_the_contract(self):
+        for module in pkgutil.iter_modules(schurbott.__path__):
+            importlib.import_module(f"schurbott.{module.name}")
+        found, todo = set(), [Value]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                todo.append(cls)
+                if cls.__module__.partition(".")[0] == "schurbott":
+                    found.add(cls)
+        assert found == set(FIELDS)
+        assert {cls for cls in found if cls.__hash__ is not None} == {Weight}

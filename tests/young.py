@@ -5,7 +5,9 @@ rule and never reads hook coordinates; ``transpose`` here is written
 independently of it, for the plethysm closed forms and the hook-content
 formula in the tests.  ``dotted_action`` is the generic Borel-Weil-Bott
 computation with no shortcut, the reference for both of ``bwb_single``'s
-rules: the repeat rule and the trivial-K interval.
+rules: the repeat rule and the trivial-K interval.  ``char_product``
+multiplies two characters monomial by monomial, the oracle the tests hold
+``tensor`` and ``decompose`` to.
 """
 
 from __future__ import annotations
@@ -84,6 +86,16 @@ def from_hook(arms: Iterable[int], legs: Iterable[int]) -> Weight:
     if to_hook(result) != (u, v):
         raise ValueError(f"incompatible hook data (u={u}, v={v})")
     return result
+
+
+def char_product(x: tuple, y: tuple) -> tuple:
+    """Product of two characters, each a sorted tuple of (exponent vector, coefficient) pairs."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in x:
+        for eb, cb in y:
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return tuple(sorted((e, c) for e, c in out.items() if c))
 
 
 def dotted_action(d: int, k: int, gamma, delta) -> tuple:
