@@ -117,6 +117,8 @@ class TestImmutability:
         report = VerificationReport(False, 5, W)
         report.verdict = True
         assert report == VerificationReport(True, 5, W)
+
+    def test_bwb_outcome_takes_new_field_values(self):
         outcome = BWBOutcome(repeated_value=3)
         outcome.degree, outcome.weight, outcome.repeated_value = 0, W, None
         assert outcome == BWBOutcome(0, W) and not outcome.is_zero
