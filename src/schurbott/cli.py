@@ -119,16 +119,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     labels = (args.alpha, args.beta) if "beta" in args else (args.alpha,)
     # looked up when the command runs, so a patched soc check is the one called
     report = getattr(soc, args.check)(*labels, args.d)
-    # each surviving summand's JSON carries its Weyl dimension, so the
-    # payload is built only when it is printed
+    # the verdict is computed from the trace on each read, so it is read once;
+    # each surviving summand's JSON carries its Weyl dimension, so the payload
+    # is built only when it is printed
+    verdict = report.verdict
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
-        verdict = "pass" if report.verdict else "fail"
-        print(f"{report.kind}: {verdict} (Hom dimension {report.hom_dimension})")
+        print(f"{report.kind}: {'pass' if verdict else 'fail'} (Hom dimension {report.hom_dimension})")
         for c in report.failures():
             print(f"  q={c.q} summand {c.weight}: {c.outcome}")
-    return 0 if report.verdict else 1
+    return 0 if verdict else 1
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -95,16 +95,6 @@ class Weight(Value):
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def padded(self, rank: int) -> "Weight":
-        """Extend a partition with trailing zeros up to the given rank."""
-        if rank < self.rank:
-            raise ValueError("cannot pad to a smaller rank")
-        if rank == self.rank:
-            return self
-        if self.entries[-1] < 0:
-            raise ValueError("cannot pad a weight with negative entries")
-        return Weight(self.entries + (0,) * (rank - self.rank))
-
     def dual(self) -> "Weight":
         """Highest weight of the dual representation: entries negated and reversed."""
         return Weight(tuple(-e for e in reversed(self.entries)))

@@ -219,7 +219,11 @@ class RepElement(Value):
             if w.entries[rank]:
                 return cls(rank)
             w = Weight(w.entries[:rank])
-        return cls(rank, {w.padded(rank): 1})
+        elif w.rank < rank:
+            if not w.is_partition():
+                raise ValueError("cannot pad a weight with negative entries")
+            w = Weight(w.entries + (0,) * (rank - w.rank))
+        return cls(rank, {w: 1})
 
     @classmethod
     def one(cls, rank: int) -> "RepElement":

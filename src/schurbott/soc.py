@@ -10,9 +10,10 @@ Borel-Weil-Bott verdict on each summand does, so a check builds the terms
 once (``fibre_terms``) and a report traces them on one G(2,d).  The checkers
 record a full witness trace: one (q, summand ``Weight``, outcome) record per
 unit of multiplicity of each bundle summand that had to vanish (or
-survive).  The trace is the only result: each verdict and Hom dimension is
-read from its records.  The verdict rule is stated here once (``_report``,
-the one maker of a ``VerificationReport``), and ``threshold`` applies it to
+survive).  The trace is the only result: a report stores its records and
+reads its verdict and Hom dimension from them, and a record reads whether
+it had to vanish from its own (q, weight).  The verdict rule is stated here
+once (``VerificationReport.verdict``), and ``threshold`` applies it to
 every d at once.
 """
 
@@ -27,13 +28,17 @@ from .rep_ring import RepElement, tensor
 
 
 class ConditionRecord(Value):
-    __slots__ = ("q", "weight", "outcome", "required_zero")
+    __slots__ = ("q", "weight", "outcome")
 
-    def __init__(self, q: int, weight: Weight, outcome: BWBOutcome, required_zero: bool = True):
+    def __init__(self, q: int, weight: Weight, outcome: BWBOutcome):
         self.q = q
         self.weight = weight
         self.outcome = outcome
-        self.required_zero = required_zero
+
+    @property
+    def required_zero(self) -> bool:
+        """Every summand but the identity has to vanish."""
+        return not _is_identity(self.q, self.weight)
 
     def to_json(self) -> dict:
         return {
@@ -45,19 +50,27 @@ class ConditionRecord(Value):
 
 
 class VerificationReport(Value):
-    """Pass/fail verdict with the full cohomology witness trace."""
+    """A kernel check's witness trace on G(2,d); beta is None for a self-Ext.
+    The verdict and Hom dimension are read from the records, never stored."""
 
-    __slots__ = ("verdict", "d", "alpha", "beta", "conditions", "hom_dimension", "kind")
+    __slots__ = ("d", "alpha", "beta", "conditions", "kind")
 
-    def __init__(self, verdict: bool, d: int, alpha: Weight, beta: Weight | None = None,
-                 conditions: list[ConditionRecord] | None = None, hom_dimension: int = 0, kind: str = ""):
-        self.verdict = verdict
+    def __init__(self, d: int, alpha: Weight, beta: Weight | None, conditions: list[ConditionRecord], kind: str):
         self.d = d
         self.alpha = alpha
         self.beta = beta
-        self.conditions = [] if conditions is None else conditions
-        self.hom_dimension = hom_dimension
+        self.conditions = conditions
         self.kind = kind
+
+    @property
+    def hom_dimension(self) -> int:
+        """The dimension of Hom: the degree-0 outcomes of the q = 0 records."""
+        return sum(c.outcome.dimension() for c in self.conditions if c.q == 0 and c.outcome.degree == 0)
+
+    @property
+    def verdict(self) -> bool:
+        """Pass iff Hom is 1 for a self-Ext, 0 for a pair (Schur's lemma), and no required record survives."""
+        return self.hom_dimension == (self.beta is None) and not self.failures()
 
     def to_json(self) -> dict:
         data = {
@@ -130,19 +143,9 @@ def _trace(d: int, terms: list[RepElement]) -> list[ConditionRecord]:
     for q, element in enumerate(terms):
         for w, c in element.sorted_terms():
             outcome = bwb_single(d, 2, g0, w)
-            required_zero = not _is_identity(q, w)
             for _ in range(c):
-                conditions.append(ConditionRecord(q, w, outcome, required_zero))
+                conditions.append(ConditionRecord(q, w, outcome))
     return conditions
-
-
-def _report(d: int, a: Weight, b: Weight | None, terms: list[RepElement], kind: str) -> VerificationReport:
-    """Pass iff Hom is 1 for a self-Ext (b is None), 0 for a pair (Schur's lemma), and no required record survives."""
-    conditions = _trace(d, terms)
-    hom = sum(c.outcome.dimension() for c in conditions if c.q == 0 and c.outcome.degree == 0)
-    report = VerificationReport(False, d, a, b, conditions, hom, kind)
-    report.verdict = hom == (b is None) and not report.failures()
-    return report
 
 
 def threshold(terms: list[RepElement], hom: int) -> float:
@@ -166,7 +169,7 @@ def check_exceptional(alpha, d: int) -> VerificationReport:
     if d < 3:
         raise ValueError("exceptional check requires d >= 3")
     a = _box_label(alpha, d)
-    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), 0), "exceptional")
+    return VerificationReport(d, a, None, _trace(d, fibre_terms(ext_decomposition(a, a), 0)), "exceptional")
 
 
 def check_fully_faithful(alpha, d: int) -> VerificationReport:
@@ -183,7 +186,7 @@ def check_fully_faithful(alpha, d: int) -> VerificationReport:
     if d < 5:
         raise ValueError("fully-faithfulness check requires d >= 5")
     a = _box_label(alpha, d)
-    return _report(d, a, None, fibre_terms(ext_decomposition(a, a), NPRIME_RANK), "fully_faithful")
+    return VerificationReport(d, a, None, _trace(d, fibre_terms(ext_decomposition(a, a), NPRIME_RANK)), "fully_faithful")
 
 
 def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
@@ -199,7 +202,7 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
     b = _box_label(beta, d)
     if not precedes(a, b):
         raise ValueError(f"{a} does not precede {b} in the partition order")
-    return _report(d, a, b, fibre_terms(ext_decomposition(a, b), NPRIME_RANK), "semiorthogonal")
+    return VerificationReport(d, a, b, _trace(d, fibre_terms(ext_decomposition(a, b), NPRIME_RANK)), "semiorthogonal")
 
 
 def box_partitions(d: int) -> list[Weight]:

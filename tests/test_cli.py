@@ -300,6 +300,8 @@ class TestKummer:
 def computed(monkeypatch):
     """Replace each size-guarded computation by a stub that records its call."""
     calls = []
+    # passing reports: a self-Ext whose trace is the identity alone, and a pair with an empty trace
+    identity = [soc.ConditionRecord(0, Weight((0, 0)), BWBOutcome(0, Weight((0,) * 5)))]
     stubs = [
         (soc, "kummer_count", 0),
         (soc, "enumerate_ff", []),
@@ -308,9 +310,9 @@ def computed(monkeypatch):
         (rr, "ext_power", rr.RepElement.zero(2)),
         (rr, "tensor", rr.RepElement.zero(2)),
         (cli, "bwb_single", BWBOutcome(repeated_value=1)),
-        (soc, "check_exceptional", soc.VerificationReport(True, 5, Weight((0, 0)))),
-        (soc, "check_fully_faithful", soc.VerificationReport(True, 5, Weight((0, 0)))),
-        (soc, "check_semiorthogonal", soc.VerificationReport(True, 5, Weight((0, 0)))),
+        (soc, "check_exceptional", soc.VerificationReport(5, Weight((0, 0)), None, identity, "exceptional")),
+        (soc, "check_fully_faithful", soc.VerificationReport(5, Weight((0, 0)), None, identity, "fully_faithful")),
+        (soc, "check_semiorthogonal", soc.VerificationReport(5, Weight((1, 1)), Weight((0, 0)), [], "semiorthogonal")),
     ]
     for module, name, value in stubs:
         def stub(*args, name=name, value=value):

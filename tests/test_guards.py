@@ -1,10 +1,11 @@
 """Package-wide guards: checks that survive ``python -O`` (which strips asserts),
-a public surface that imports cleanly, and a cold start and a suite run that
-stay light."""
+a public surface that imports cleanly, source that parses at the declared
+Python floor, and a cold start and a suite run that stay light."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +79,17 @@ def test_run_all_streams_its_sweeps():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 1_400_000
+
+
+def test_source_parses_at_the_declared_python_floor():
+    # tomllib is 3.11+, so the floor is read with a regex; the parse rejects
+    # syntax newer than the floor (except*, type aliases, PEP 695 generics),
+    # not calls to newer stdlib APIs
+    root = PACKAGE_DIR.parent.parent
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (root / "pyproject.toml").read_text(), re.M)
+    assert match, "pyproject.toml declares no requires-python floor"
+    floor = (int(match[1]), int(match[2]))
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

@@ -7,10 +7,12 @@ import pytest
 
 from schurbott import soc
 from schurbott.bundle_calculus import NPRIME, NPRIME_RANK, wedge_nprime
-from schurbott.bwb import BundleExpr, cohomology
+from schurbott.bwb import BundleExpr, bwb_single, cohomology
 from schurbott.partitions import precedes, sort_key
 from schurbott.rep_ring import RepElement, dual, tensor
 from schurbott.soc import (
+    ConditionRecord,
+    VerificationReport,
     box_partitions,
     check_exceptional,
     check_fully_faithful,
@@ -166,6 +168,41 @@ class TestSemiorthogonal:
         assert (report.verdict, report.hom_dimension) == (False, 1)
         survivors = [(c.q, c.weight) for c in report.conditions if not c.outcome.is_zero]
         assert survivors == [(0, weight(0, 0))]
+
+
+class TestDerivedState:
+    """A report stores its trace alone: the verdict, Hom and required_zero are read from the records."""
+
+    IDENTITY = bwb_single(5, 2, (0, 0, 0), weight(0, 0))
+
+    def test_only_the_q0_identity_record_may_survive(self):
+        assert not ConditionRecord(0, weight(0, 0), self.IDENTITY).required_zero
+        assert ConditionRecord(1, weight(0, 0), self.IDENTITY).required_zero
+        assert ConditionRecord(0, weight(1, -1), self.IDENTITY).required_zero
+
+    def test_a_self_ext_passes_on_the_identity_alone(self):
+        report = VerificationReport(5, weight(0, 0), None, [ConditionRecord(0, weight(0, 0), self.IDENTITY)], "")
+        assert (report.verdict, report.hom_dimension, report.failures()) == (True, 1, [])
+        survivor = ConditionRecord(1, weight(0, 0), self.IDENTITY)
+        report.conditions.append(survivor)
+        assert (report.verdict, report.hom_dimension, report.failures()) == (False, 1, [survivor])
+        assert report.to_json()["verdict"] == "fail"
+
+    def test_a_pair_with_an_identity_record_fails(self):
+        report = VerificationReport(5, weight(1, 1), weight(0, 0), [ConditionRecord(0, weight(0, 0), self.IDENTITY)], "")
+        assert (report.verdict, report.hom_dimension, report.failures()) == (False, 1, [])
+
+    @pytest.mark.parametrize("name", ["verdict", "hom_dimension"])
+    def test_report_verdict_and_hom_are_read_only(self, name):
+        report = check_exceptional(weight(0, 0), 5)
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
+
+    def test_required_zero_is_read_only(self):
+        record = ConditionRecord(1, weight(0, 0), self.IDENTITY)
+        with pytest.raises(AttributeError):
+            record.required_zero = False
+        assert record.required_zero
 
 
 class TestQRangeFollowsNPrime:

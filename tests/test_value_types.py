@@ -24,7 +24,7 @@ import schurbott
 from schurbott.bwb import BWBOutcome, BundleExpr, GradedCohomology
 from schurbott.partitions import Value, Weight
 from schurbott.rep_ring import RepElement
-from schurbott.soc import ConditionRecord, VerificationReport
+from schurbott.soc import ConditionRecord, VerificationReport, check_exceptional
 from schurbott.verify import CheckResult
 
 W = Weight((1, 0))
@@ -41,7 +41,8 @@ def same_twice():
         (GradedCohomology(3, {0: RepElement.one(3)}), GradedCohomology(d=3, groups={0: RepElement.one(3)})),
         (ConditionRecord(1, Weight((2, 0)), OUTCOME),
          ConditionRecord(q=1, weight=Weight((2, 0)), outcome=BWBOutcome(repeated_value=3))),
-        (VerificationReport(True, 5, W), VerificationReport(verdict=True, d=5, alpha=Weight((1, 0)))),
+        (VerificationReport(5, W, None, [], "exceptional"),
+         VerificationReport(d=5, alpha=Weight((1, 0)), beta=None, conditions=[], kind="exceptional")),
         (CheckResult("counting", True, "ok"), CheckResult(name="counting", passed=True, detail="ok")),
         (RepElement(2, {W: 2}), RepElement(rank=2, terms={Weight((1, 0)): 2, Weight((0, 0)): 0})),
     ]
@@ -52,8 +53,8 @@ FIELDS = {
     BWBOutcome: ("degree", "weight", "repeated_value"),
     BundleExpr: ("d", "k", "terms"),
     GradedCohomology: ("d", "groups"),
-    ConditionRecord: ("q", "weight", "outcome", "required_zero"),
-    VerificationReport: ("verdict", "d", "alpha", "beta", "conditions", "hom_dimension", "kind"),
+    ConditionRecord: ("q", "weight", "outcome"),
+    VerificationReport: ("d", "alpha", "beta", "conditions", "kind"),
     CheckResult: ("name", "passed", "detail"),
     RepElement: ("rank", "terms"),
 }
@@ -72,8 +73,8 @@ class TestEquality:
             (BWBOutcome(repeated_value=3), BWBOutcome(repeated_value=4)),
             (BundleExpr(3, 1), BundleExpr(3, 2)),
             (GradedCohomology(3), GradedCohomology(4)),
-            (ConditionRecord(1, Weight((2, 0)), OUTCOME), ConditionRecord(1, Weight((2, 0)), OUTCOME, False)),
-            (VerificationReport(True, 5, W), VerificationReport(True, 5, W, kind="x")),
+            (ConditionRecord(1, Weight((2, 0)), OUTCOME), ConditionRecord(2, Weight((2, 0)), OUTCOME)),
+            (VerificationReport(5, W, None, [], ""), VerificationReport(5, W, None, [], "x")),
             (CheckResult("a", True, ""), CheckResult("a", False, "")),
             (RepElement(2, {W: 2}), RepElement(2, {W: 1})),
         ],
@@ -114,9 +115,9 @@ class TestImmutability:
         assert getattr(value, field) == before
 
     def test_mutable_types_take_new_field_values(self):
-        report = VerificationReport(False, 5, W)
-        report.verdict = True
-        assert report == VerificationReport(True, 5, W)
+        report = VerificationReport(5, W, None, [], "")
+        report.kind = "exceptional"
+        assert report == VerificationReport(5, W, None, [], "exceptional")
 
     def test_bwb_outcome_takes_new_field_values(self):
         outcome = BWBOutcome(repeated_value=3)
@@ -151,26 +152,31 @@ class TestConstruction:
         assert GradedCohomology(3, {1: RepElement.zero(3)}).groups == {}
 
     def test_condition_record_defaults(self):
+        # no defaults: required_zero is read from (q, weight), not passed
         record = ConditionRecord(2, W, OUTCOME)
         assert (record.q, record.weight, record.outcome, record.required_zero) == (2, W, OUTCOME, True)
-        assert ConditionRecord(2, W, OUTCOME, required_zero=False).required_zero is False
+        with pytest.raises(TypeError):
+            ConditionRecord(2, W, OUTCOME, False)
 
     def test_verification_report_defaults(self):
-        report = VerificationReport(True, 5, W)
-        assert (report.beta, report.conditions, report.hom_dimension, report.kind) == (None, [], 0, "")
-        full = VerificationReport(False, 6, W, Weight((0, 0)), [], 1, "semiorthogonal")
-        assert (full.beta, full.hom_dimension, full.kind) == (Weight((0, 0)), 1, "semiorthogonal")
+        # no defaults: every field is passed, and the verdict and Hom are read from the trace
+        for missing in range(5):
+            with pytest.raises(TypeError):
+                VerificationReport(*(6, W, Weight((0, 0)), [], "semiorthogonal")[:missing])
+        full = VerificationReport(6, W, Weight((0, 0)), [], "semiorthogonal")
+        assert (full.beta, full.conditions, full.kind) == (Weight((0, 0)), [], "semiorthogonal")
+        assert (full.verdict, full.hom_dimension) == (True, 0)
 
     def test_passed_containers_are_kept(self):
         conditions = [ConditionRecord(0, Weight((0, 0)), OUTCOME)]
-        assert VerificationReport(True, 5, W, conditions=conditions).conditions is conditions
+        assert VerificationReport(5, W, None, conditions, "").conditions is conditions
 
     def test_check_result_fields(self):
         result = CheckResult("counting", False, "d=5")
         assert (result.name, result.passed, result.detail) == ("counting", False, "d=5")
 
     @pytest.mark.parametrize("cls, args", [(Weight, ()), (ConditionRecord, ()), (ConditionRecord, (1, Weight((0,)))),
-                                           (VerificationReport, (True, 5)), (CheckResult, ("a", True)),
+                                           (VerificationReport, (5, W, None, [])), (CheckResult, ("a", True)),
                                            (BundleExpr, (3,)), (GradedCohomology, ()), (RepElement, ())])
     def test_missing_required_fields_raise(self, cls, args):
         with pytest.raises(TypeError):
@@ -183,9 +189,9 @@ class TestConstruction:
 
 class TestFreshDefaults:
     def test_reports_do_not_share_a_conditions_list(self):
-        a, b = VerificationReport(True, 5, W), VerificationReport(True, 5, W)
+        a, b = check_exceptional((0, 0), 5), check_exceptional((0, 0), 5)
         a.conditions.append(ConditionRecord(0, Weight((0, 0)), OUTCOME))
-        assert b.conditions == [] and a.conditions is not b.conditions
+        assert len(b.conditions) == 1 and a.conditions is not b.conditions
 
     def test_bundle_exprs_do_not_share_a_terms_dict(self):
         a, b = BundleExpr(3, 1), BundleExpr(3, 1)
@@ -210,14 +216,13 @@ class TestRepr:
         record = ConditionRecord(1, Weight((2, 0)), BWBOutcome(0, W))
         assert repr(record) == (
             "ConditionRecord(q=1, weight=Weight(entries=(2, 0)), outcome=BWBOutcome(degree=0, "
-            "weight=Weight(entries=(1, 0)), repeated_value=None), required_zero=True)"
+            "weight=Weight(entries=(1, 0)), repeated_value=None))"
         )
         assert repr(CheckResult("a", True, "x")) == "CheckResult(name='a', passed=True, detail='x')"
         assert repr(BundleExpr(3, 1)) == "BundleExpr(d=3, k=1, terms={})"
         assert repr(GradedCohomology(3)) == "GradedCohomology(d=3, groups={})"
-        assert repr(VerificationReport(True, 5, W)) == (
-            "VerificationReport(verdict=True, d=5, alpha=Weight(entries=(1, 0)), beta=None, "
-            "conditions=[], hom_dimension=0, kind='')"
+        assert repr(VerificationReport(5, W, None, [], "")) == (
+            "VerificationReport(d=5, alpha=Weight(entries=(1, 0)), beta=None, conditions=[], kind='')"
         )
 
 
