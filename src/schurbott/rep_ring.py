@@ -9,7 +9,8 @@ to a partition with an empty last row, both factors are conjugated when
 that makes a smaller search, and the larger factor is passed first, so
 both orders of a pair share one cached computation.
 ``verify`` checks both routes against the Brauer-Klimyk formula, which
-reads one factor's weights from ``schur_char`` and never places a tableau.
+reads one factor's weights, the narrower factor's, from ``schur_char`` and
+never places a tableau.
 Symmetric/exterior powers and general plethysms go through an independent
 character-polynomial oracle: expand into a multiset of weight monomials by
 the Gelfand-Tsetlin branching rule, apply the elementary or complete
@@ -24,6 +25,7 @@ integer products, reduced row by row.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from functools import lru_cache
 from math import gcd
@@ -101,39 +103,42 @@ def _lattice_strips(
     open rows takes none, and its conditions follow from the open row before
     it.  Each open row takes at least the boxes the rows after it cannot.
     """
-    base = list(shape) + ([0] if len(shape) < max_rows else [])
-    rows = [0] + [j for j in range(1, len(base)) if base[j] < base[j - 1]]
-    # mu_j <= lambda_{j-1} keeps the added boxes in distinct columns
-    upper = [width - base[0]] + [base[j - 1] - base[j] for j in rows[1:]]
-    # cover[k]: the previous letter's boxes in the rows above rows[k], which
-    # the new ones up to rows[k] may not outnumber; letter 1 has no such bound.
-    # cover[-1] >= m: of the equal rows from rows[-1] on, the previous strip
-    # holds boxes only in the last, and its ``left`` bound kept m above it
-    if above is None:
-        cover = [m] * len(rows)
-    else:
-        before = list(itertools.accumulate(above, initial=0))
-        cover = [before[j] for j in rows]
+    base = shape + (0,) if len(shape) < max_rows else shape
+    # rows: the open rows.  upper[k]: mu_j <= lambda_{j-1} keeps the added
+    # boxes in distinct columns.  cover[k]: the previous letter's boxes in the
+    # rows above rows[k], which the new ones up to rows[k] may not outnumber;
+    # letter 1 has no such bound.  cover[-1] >= m: of the equal rows from
+    # rows[-1] on, the previous strip holds boxes only in the last, and its
+    # ``left`` bound kept m above it
+    rows, upper, cover = [0], [width - base[0]], [m if above is None else 0]
+    covered = 0
+    for j in range(1, len(base)):
+        if above is not None:
+            covered += above[j - 1]
+        if base[j] < base[j - 1]:
+            rows.append(j)
+            upper.append(base[j - 1] - base[j])
+            cover.append(m if above is None else covered)
     # left[k]: the most boxes the open rows after rows[k] may take, within
     # their strip room and leaving the later letters room below this one
     left = [0] * len(rows)
     for k in range(len(rows) - 2, -1, -1):
         s = max_rows - rows[k + 1]
         left[k] = min(left[k + 1] + upper[k + 1], m - later[s - 1] if s <= len(later) else m)
-    counts = [0] * len(base)
+    # depth first over the open rows; a stack entry is (open row, boxes left,
+    # boxes placed in the open rows before it)
     out = []
-
-    def rec(k: int, remaining: int) -> None:
+    stack = [(0, m, ())]
+    while stack:
+        k, remaining, placed = stack.pop()
         if remaining == 0:
-            out.append((_stripped([b + c for b, c in zip(base, counts)]), tuple(counts)))
-            return
-        j = rows[k]
+            counts = [0] * len(base)
+            for j, add in zip(rows, placed):
+                counts[j] = add
+            out.append((_stripped(tuple(map(operator.add, base, counts))), tuple(counts)))
+            continue
         for add in range(max(0, remaining - left[k]), min(upper[k], remaining, cover[k] - m + remaining) + 1):
-            counts[j] = add
-            rec(k + 1, remaining - add)
-        counts[j] = 0
-
-    rec(0, m)
+            stack.append((k + 1, remaining - add, placed + (add,)))
     return out
 
 

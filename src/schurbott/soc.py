@@ -23,7 +23,7 @@ from math import inf
 
 from .bundle_calculus import NPRIME_RANK, wedge_nprime
 from .bwb import BWBOutcome, bwb_single, vanishing_threshold
-from .partitions import Value, Weight, sort_key, precedes, trivial
+from .partitions import Value, Weight, precedes, trivial
 from .rep_ring import RepElement, tensor
 
 
@@ -206,8 +206,12 @@ def check_semiorthogonal(alpha, beta, d: int) -> VerificationReport:
 
 
 def box_partitions(d: int) -> list[Weight]:
-    """All partitions inscribed in the 2 x (d-2) box, in the partition order."""
-    return sorted((Weight((a1, a2)) for a1 in range(d - 1) for a2 in range(a1 + 1)), key=sort_key)
+    """All partitions inscribed in the 2 x (d-2) box, in the partition order.
+
+    They are built in that order: by size s = a1 + a2 from 2(d-2) down, and
+    within one size by a1 from min(s, d-2) down to the least a1 >= a2.
+    """
+    return [Weight((a1, s - a1)) for s in range(2 * d - 4, -1, -1) for a1 in range(min(s, d - 2), (s - 1) // 2, -1)]
 
 
 def enumerate_ff(d: int) -> list[Weight]:

@@ -100,13 +100,14 @@ def check_fully_faithful(d_max: int) -> CheckResult:
 def check_semiorthogonal(d_max: int) -> CheckResult:
     """The closed form against Brauer-Klimyk for every pair of the box, then a sweep of the bounded pairs.
 
-    ``soc.ext_decomposition(a, b)`` must equal ``_brauer_klimyk(a, b.dual())``,
-    the expansion that ``oracle-equivalence`` also reads, which shares no
-    code with Clebsch-Gordan or LR.  A pair is bounded at d when both labels
-    are in the box and alpha_1 - beta_2 <= d-5.  The sweep then walks d
-    upward and stops at the first bounded pair below its threshold, computed
-    once per twist class, or at the first d where a pair of
-    ``soc.enumerate_sos(d)`` is not bounded.
+    ``soc.ext_decomposition(a, b)``, keyed by exponent vector, must equal
+    ``_brauer_klimyk(a, b.dual())``, the expansion that ``oracle-equivalence``
+    also reads, which shares no code with Clebsch-Gordan or LR; a ring
+    element is built from it only to print a mismatch.  A pair is bounded at
+    d when both labels are in the box and alpha_1 - beta_2 <= d-5.  The sweep
+    then walks d upward and stops at the first bounded pair below its
+    threshold, computed once per twist class, or at the first d where a pair
+    of ``soc.enumerate_sos(d)`` is not bounded.
     """
     total, seen = 0, {}
     top = _top("semi-orthogonality", 5, d_max)
@@ -117,10 +118,10 @@ def check_semiorthogonal(d_max: int) -> CheckResult:
     for a, b in combinations_with_replacement(labels, 2):
         closed = soc.ext_decomposition(a, b)
         expected = _brauer_klimyk(a, duals[b])
-        if closed.terms != expected:
+        if {w.entries: c for w, c in closed.terms.items()} != expected:
+            bk = rr.RepElement(2, {Weight(k): c for k, c in expected.items()})
             return CheckResult(
-                "semi-orthogonality", False,
-                f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {rr.RepElement(2, expected)}",
+                "semi-orthogonality", False, f"Ext({b},{a}): closed form {closed} vs Brauer-Klimyk {bk}"
             )
     for d in range(5, top + 1):
         swept = [(a, b) for a, b in combinations(soc.box_partitions(d), 2) if a.entries[0] - b.entries[1] <= d - 5]
@@ -196,14 +197,20 @@ def check_cotangent(d_max: int) -> CheckResult:
     return CheckResult("cotangent-simplicity", True, f"{total} Grassmannians, d <= {top}")
 
 
-def _brauer_klimyk(a: Weight, b: Weight) -> dict[Weight, int]:
-    """S^a (x) S^b by the Brauer-Klimyk formula, from the character of S^a alone.
+def _brauer_klimyk(a: Weight, b: Weight) -> dict[tuple[int, ...], int]:
+    """S^a (x) S^b by the Brauer-Klimyk formula, as {exponent vector: coefficient}.
 
-    Each weight e of S^a, with its multiplicity, contributes S^(b+e),
-    straightened unless b+e is already dominant: add rho = (r-1, ..., 0); a
-    repeated entry drops the term, otherwise sort decreasingly, with the sign
-    of the sort, and subtract rho.
+    The formula is symmetric, so it reads the character of the narrower
+    factor alone, the one with the smaller spread w_1 - w_r, and never builds
+    the other's.  Each weight e of that character, with its multiplicity,
+    contributes S^(w+e), where w is the other factor, straightened unless w+e
+    is already dominant: add rho = (r-1, ..., 0); a repeated entry drops the
+    term, otherwise sort decreasingly, with the sign of the sort, and
+    subtract rho.  It builds no ``Weight``: the ring's products are compared
+    through their terms' ``entries``.
     """
+    if b.entries[0] - b.entries[-1] < a.entries[0] - a.entries[-1]:
+        a, b = b, a
     rank = a.rank
     rho = range(rank - 1, -1, -1)
     out: dict[tuple[int, ...], int] = {}
@@ -218,7 +225,7 @@ def _brauer_klimyk(a: Weight, b: Weight) -> dict[Weight, int]:
             v.sort(reverse=True)
             key = tuple(x - p for x, p in zip(v, rho))
         out[key] = out.get(key, 0) + mult
-    return {Weight(k): c for k, c in out.items() if c}
+    return {k: c for k, c in out.items() if c}
 
 
 def check_oracle_equivalence(d_max: int) -> CheckResult:
@@ -226,10 +233,11 @@ def check_oracle_equivalence(d_max: int) -> CheckResult:
 
     Every ordered pair of rank-3 Schur functors with at most 6 boxes is
     multiplied by ``tensor`` (the Littlewood-Richardson rule at rank 3) and
-    compared with the Brauer-Klimyk expansion of the unordered pair, computed
-    once.  That route reads one factor's weights from its Gelfand-Tsetlin
-    character and straightens by the dotted Weyl action, so it shares no
-    code with LR tableaux.  Bott's formula on P^1..P^5 checks ``bwb_single``.
+    its terms, keyed by exponent vector, compared with the Brauer-Klimyk
+    expansion of the unordered pair, computed once.  That route reads the
+    narrower factor's weights from its Gelfand-Tsetlin character and
+    straightens by the dotted Weyl action, so it shares no code with LR
+    tableaux.  Bott's formula on P^1..P^5 checks ``bwb_single``.
     """
     del d_max
     rank = 3
@@ -242,7 +250,7 @@ def check_oracle_equivalence(d_max: int) -> CheckResult:
             expected = _brauer_klimyk(wa, wb)
             orders = [(wa, wb)] if wa == wb else [(wa, wb), (wb, wa)]
             for wx, wy in orders:
-                if rr.tensor(schur[wx], schur[wy]).terms != expected:
+                if {w.entries: c for w, c in rr.tensor(schur[wx], schur[wy]).terms.items()} != expected:
                     return CheckResult("oracle-equivalence", False, f"LR vs character at {wx.entries} x {wy.entries}")
                 pairs += 1
     # Bott's formula on projective spaces of quotients (k = 1)

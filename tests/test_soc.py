@@ -287,6 +287,22 @@ class TestEnumeration:
         for a, b in zip(labels, labels[1:]):
             assert precedes(a, b)
 
+    def test_box_is_built_in_the_partition_order(self):
+        # the box is emitted in order, not sorted: pin it against the sorted
+        # box, and the two enumerations against filters of that box
+        for d in range(-1, 41):
+            box = sorted((weight(a1, a2) for a1 in range(d - 1) for a2 in range(a1 + 1)), key=sort_key)
+            assert box_partitions(d) == box, d
+            if d < 5:
+                with pytest.raises(ValueError, match="requires d >= 5"):
+                    enumerate_ff(d)
+                with pytest.raises(ValueError, match="requires d >= 5"):
+                    enumerate_sos(d)
+                continue
+            ff = [a for a in box if a.entries[0] - a.entries[1] <= d - 5]
+            assert enumerate_ff(d) == ff, d
+            assert enumerate_sos(d) == [a for a in ff if a.entries[1] >= 3], d
+
     def test_width_bound(self):
         for d in (5, 7, 9):
             assert all(a.entries[0] - a.entries[1] <= d - 5 for a in enumerate_ff(d))

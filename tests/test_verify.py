@@ -70,15 +70,36 @@ def test_oracle_equivalence_fails_on_one_wrong_ordered_product(monkeypatch, wron
     assert result.detail == f"LR vs character at {wrong[0]} x {wrong[1]}"
 
 
-def test_brauer_klimyk_equals_tensor_with_negative_entries():
-    # Clebsch-Gordan at rank 2, Littlewood-Richardson at the other ranks
-    n = 0
+def _by_entries(element):
+    """An element's terms keyed by exponent vector, as ``verify._brauer_klimyk`` returns them."""
+    return {w.entries: c for w, c in element.terms.items()}
+
+
+def _pairs_with_negative_entries():
+    """Every ordered pair of small weights at ranks 1 to 4, negative entries included: 3,315 pairs."""
     for rank, lo, hi in ((1, -4, 4), (2, -3, 3), (3, -2, 2), (4, -1, 2)):
         weights = [Weight(e) for e in product(range(hi, lo - 1, -1), repeat=rank) if list(e) == sorted(e, reverse=True)]
         for a, b in product(weights, repeat=2):
-            expected = rr.tensor(RepElement.schur(rank, a), RepElement.schur(rank, b)).terms
-            assert verify._brauer_klimyk(a, b) == expected, (a, b)
-            n += 1
+            yield rank, a, b
+
+
+def test_brauer_klimyk_equals_tensor_with_negative_entries():
+    # Clebsch-Gordan at rank 2, Littlewood-Richardson at the other ranks
+    n = 0
+    for rank, a, b in _pairs_with_negative_entries():
+        expected = _by_entries(rr.tensor(RepElement.schur(rank, a), RepElement.schur(rank, b)))
+        assert verify._brauer_klimyk(a, b) == expected, (a, b)
+        n += 1
+    assert n == 3315
+
+
+def test_brauer_klimyk_is_symmetric():
+    # the swap to the narrower factor rests on this symmetry: of a pair of
+    # equal spreads, each order reads its own first factor's character
+    n = 0
+    for _, a, b in _pairs_with_negative_entries():
+        assert verify._brauer_klimyk(a, b) == verify._brauer_klimyk(b, a), (a, b)
+        n += 1
     assert n == 3315
 
 
@@ -101,8 +122,38 @@ def test_brauer_klimyk_equals_tensor_past_the_small_box(a, b):
     rank = len(a)
     x, y = RepElement.schur(rank, a), RepElement.schur(rank, b)
     expected = verify._brauer_klimyk(Weight(a), Weight(b))
-    assert rr.tensor(x, y).terms == expected
-    assert rr.tensor(y, x).terms == expected
+    assert _by_entries(rr.tensor(x, y)) == expected
+    assert _by_entries(rr.tensor(y, x)) == expected
+
+
+def test_brauer_klimyk_reads_only_the_narrower_character(monkeypatch):
+    # the deep column has 400 weights; the long row's character at rank 400
+    # is far too large to build, in either order of the pair
+    column, row = Weight((1,) * 399 + (0,)), Weight((2000,) + (0,) * 399)
+    schur_char = rr.schur_char
+
+    def only_the_column(w):
+        assert w == column, w
+        return schur_char(w)
+
+    monkeypatch.setattr(rr, "schur_char", only_the_column)
+    assert verify._brauer_klimyk(column, row) == verify._brauer_klimyk(row, column)
+
+
+def test_brauer_klimyk_builds_no_weight(monkeypatch):
+    # a non-dominant b+e is straightened, with a sign, and a repeat drops it
+    a, b = Weight((2, 1, 0, -1)), Weight((1, 0, 0, -2))
+    expected = _by_entries(rr.tensor(RepElement.schur(4, a), RepElement.schur(4, b)))
+    init, calls = Weight.__init__, []
+
+    def counted(self, entries):
+        calls.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(Weight, "__init__", counted)
+    got = verify._brauer_klimyk(a, b)
+    monkeypatch.undo()
+    assert got == expected and calls == []
 
 
 def test_oracle_equivalence_fails_on_a_character_missing_one_monomial(monkeypatch):
@@ -195,7 +246,7 @@ def test_semiorthogonality_reports_a_closed_form_mismatch_before_any_sweep_failu
     def off_by_one(a, b):
         expected = brauer_klimyk(a, b)
         if a == last and b == last:
-            expected[last] += 1
+            expected[last.entries] += 1
         return expected
 
     monkeypatch.setattr(verify, "_brauer_klimyk", off_by_one)
@@ -352,7 +403,7 @@ def test_semiorthogonality_fails_the_one_pair_whose_ext_changed(monkeypatch):
     def with_trivial(x, y):
         expected = brauer_klimyk(x, y)
         if (x, y) == (a, b.dual()):
-            expected[trivial(2)] = expected.get(trivial(2), 0) + 1
+            expected[trivial(2).entries] = expected.get(trivial(2).entries, 0) + 1
         return expected
 
     monkeypatch.setattr(verify, "_brauer_klimyk", with_trivial)
